@@ -6,9 +6,7 @@ refactor exists for: a Table 1-style grid interleaving AIMD, MIMD and
 Robust-AIMD scenarios — which previously planned into one batch *per
 protocol class* and now plans into one batch total — must beat the
 serial sweep by >= 5x with bit-identical traces, and the consolidated
-summary records the measured speedup plus the kernel attribution
-(numba availability/version, JIT on/off) so recorded numbers are
-traceable to the path that produced them.
+summary records the measured speedup.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import numpy as np
 from _support import record_summary
 from repro.backends import ScenarioSpec, run_spec, run_specs
 from repro.backends.batch import plan_batches
-from repro.model import kernels
 from repro.model.link import Link
 from repro.protocols.aimd import AIMD
 from repro.protocols.mimd import MIMD
@@ -82,11 +79,7 @@ def test_mixed_protocol_grid_batched_speedup(monkeypatch):
         serial_s=round(t_serial, 4),
         batched_s=round(t_batched, 4),
         speedup=round(speedup, 2),
-        numba_available=kernels.numba_version() is not None,
-        numba_version=kernels.numba_version(),
-        jit_enabled=kernels.jit_enabled(),
     )
     print(f"\nmixed-protocol grid: serial {t_serial:.2f}s, "
-          f"batched {t_batched:.2f}s ({speedup:.1f}x, "
-          f"jit={'on' if kernels.jit_enabled() else 'off'})")
+          f"batched {t_batched:.2f}s ({speedup:.1f}x)")
     assert speedup >= 5.0, f"mixed grid only {speedup:.1f}x faster"

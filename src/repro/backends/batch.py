@@ -1,71 +1,70 @@
-"""Batch planning and scheduling for the batched spec backends.
+"""Batch planning and scheduling for the array spec backends.
 
 This module is the bridge between :func:`repro.backends.jobs.run_specs`
-and the batched kernels — the fluid kernel in :mod:`repro.model.batch`,
+and the stacked kernels — the fluid kernel in :mod:`repro.model.batch`,
 the multi-link network kernel in :mod:`repro.netmodel.batch` and the
-stacked mean-field kernel in :mod:`repro.meanfield.batch`:
+mean-field kernel in :mod:`repro.meanfield.batch`. One
+:class:`BatchLane` record per backend (see :data:`LANES`) says how that
+backend's specs reach its kernel: how to lower a spec, which lowered
+specs may share a kernel call, how to stack their inputs, which kernel
+to run, how to slice one spec's trace back out of the stacked result,
+and — when the scheduler may chunk the kernel — its output shapes.
+Everything else is one shared planner and one shared runner:
 
-- :func:`plan_batches` sorts a list of ScenarioSpecs into *batch groups*
-  — specs sharing (flow count, horizon, loss-based enforcement) whose
-  dynamics the kernel can advance together; protocol *classes* may vary
-  freely across scenarios and flows, because the kernel dispatches
-  per cell through a protocol-id table (see
-  :mod:`repro.model.batch`) — and a *fallback* list for everything else
-  (stateful protocols, schedules, ECN, lowering failures, ...), which
-  runs per-spec through the ordinary serial path;
-- :func:`run_specs_batched` executes a plan: cached specs are served from
-  the unified store without touching a kernel, each group runs through
-  one kernel call (or, for large groups with ``workers > 1``, through the
-  shared-memory chunk scheduler), per-spec traces are extracted via
-  :func:`repro.perf.store.extract_batch_trace` and cached individually so
-  warm reruns stay content-addressed, and fallback specs run serially.
+- the planners (:func:`plan_batches`, :func:`plan_network_batches`,
+  :func:`plan_meanfield_batches`) sort a list of ScenarioSpecs into
+  *batch groups* — specs sharing the lane's group key, whose dynamics
+  the kernel can advance together — and a *fallback* list for
+  everything else (stateful protocols, schedules, ECN, lowering
+  failures, ...), which runs per-spec through the ordinary serial path;
+- the runners (:func:`run_specs_batched`,
+  :func:`run_network_specs_batched`, :func:`run_meanfield_specs_batched`)
+  serve cached specs from the unified store without touching a kernel,
+  run each group through one kernel call (or, for large groups with
+  ``workers > 1``, through the shared-memory chunk scheduler), cache
+  every extracted trace individually so warm reruns stay
+  content-addressed, and run fallback specs serially.
 
 The shared-memory scheduler replaces per-job pickling for batch results:
 the parent allocates ``multiprocessing.shared_memory`` buffers for the
 group's stacked output arrays, workers advance disjoint row chunks of the
 batch and write directly into the buffers, and only tiny failure maps
-travel back over the pool. Chunk size is autotuned from the measured
-kernel throughput in :data:`repro.perf.timing.REGISTRY` (section
-``batch.kernel``). Batched, chunked and serial execution all produce
-bit-identical traces; a spec that fails mid-batch is rerun serially so
-callers see the exact serial exception (or ``None`` with
-``skip_errors=True``), and never poisons the other rows.
-
-The network backend follows the same blueprint with a structural twist:
-:func:`plan_network_batches` groups specs sharing a topology *structure*
-(flow count, horizon, per-flow link columns) while link parameters and
-protocol constants vary per row, and :func:`run_network_specs_batched`
-drives :func:`repro.netmodel.batch.run_network_batch_kernel` through the
-same shared-memory chunk scheduler generalized to the network kernel's
-five per-flow/per-link output buffers. The mean-field backend batches
-single-group scenarios sharing (cell count, horizon, feedback mode,
-trigger comparator) and runs in-process — its kernel already advances a
-whole sweep in one vectorized loop, so chunking buys nothing.
+travel back over the pool. Chunk size is autotuned from the kernel's
+measured throughput in :data:`repro.perf.timing.REGISTRY`. Batched,
+chunked and serial execution all produce bit-identical traces; a spec
+that fails mid-batch is rerun serially so callers see the exact serial
+exception (or ``None`` with ``skip_errors=True``), and never poisons the
+other rows. The mean-field lane runs in-process — its kernel already
+advances a whole sweep in one vectorized loop, so chunking buys nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.backends.base import run_spec
 from repro.backends.spec import ScenarioSpec
-from repro.model.batch import BatchInputs, BatchResult, kernel_cells, run_batch_kernel
+from repro.model.batch import (
+    BatchInputs,
+    BatchResult,
+    kernel_cells,
+    run_batch_kernel,
+    slice_rows,
+)
 from repro.model.random_loss import BernoulliLoss, NoLoss
 from repro.perf import timing
 
 __all__ = [
+    "LANES",
     "BatchGroup",
+    "BatchLane",
     "BatchPlan",
-    "MeanFieldBatchGroup",
-    "MeanFieldBatchPlan",
-    "NetworkBatchGroup",
-    "NetworkBatchPlan",
+    "Chunking",
     "autotune_chunk_rows",
-    "autotune_network_chunk_rows",
     "plan_batches",
     "plan_meanfield_batches",
     "plan_network_batches",
@@ -83,29 +82,56 @@ _TARGET_CHUNK_SECONDS = 0.25
 
 
 # ----------------------------------------------------------------------
-# Planning
+# The lane record
 # ----------------------------------------------------------------------
-@dataclass
-class _Lowered:
-    """One spec's batch-eligible lowered form."""
+@dataclass(frozen=True)
+class Chunking:
+    """What the shared-memory scheduler needs to chunk a lane's kernel."""
 
-    index: int
-    link: object
-    protocols: list
-    steps: int
-    initial: list[float]
-    random_rate: float
-    min_window: float
-    max_window: float
-    enforce_loss_based: bool
+    #: Stacked inputs -> output array name -> full float64 shape; every
+    #: shape is ``(steps, rows, ...)``, so chunks split the second axis.
+    shapes: Callable[[Any], dict[str, tuple[int, ...]]]
+    #: Rebuilds the kernel's result from the shared buffers: called
+    #: with ``failed=`` plus one keyword array per :attr:`shapes` entry.
+    result: Callable[..., Any]
+    #: The ``timing.REGISTRY`` section the kernel reports its time to.
+    section: str
+    #: Scenario-steps the kernel has advanced so far in this process.
+    cells: Callable[[], int]
+
+
+@dataclass(frozen=True)
+class BatchLane:
+    """How one array backend's specs reach its stacked kernel.
+
+    ``lower`` returns a spec's batch-eligible row, or ``None`` (or
+    raises) to send the spec to the serial fallback; rows with equal
+    ``group_key`` share one kernel call, stacked by ``build_inputs``.
+    ``kernel(inputs)`` runs a stack (chunkable lanes also take ``out=``
+    buffers) — a private shim that looks the public kernel up on its
+    module at call time — and
+    ``extract(group, result, pos, spec)`` slices row ``pos`` back into a
+    :class:`~repro.backends.trace.UnifiedTrace`. ``chunking`` is ``None``
+    for lanes that always run in-process.
+    """
+
+    backend: str
+    lower: Callable[[ScenarioSpec], Any]
+    group_key: Callable[[Any], tuple]
+    build_inputs: Callable[[list], Any]
+    kernel: Callable[..., Any]
+    extract: Callable[..., Any]
+    chunking: Chunking | None = None
 
 
 @dataclass
 class BatchGroup:
-    """Specs the kernel advances together: original indices plus inputs."""
+    """Specs a kernel advances together: original indices, stacked
+    inputs, and each spec's lowered row (in the same order)."""
 
     indices: list[int]
-    inputs: BatchInputs
+    inputs: Any
+    rows: list
 
 
 @dataclass
@@ -116,36 +142,54 @@ class BatchPlan:
     fallback: list[int]
 
 
-def _lower_for_batch(index: int, spec: ScenarioSpec) -> _Lowered | None:
-    """``spec``'s batch-eligible form, or ``None`` to fall back per-spec.
+# ----------------------------------------------------------------------
+# Lowering shared by the protocol-cell lanes (fluid and network)
+# ----------------------------------------------------------------------
+@dataclass
+class _CellRow:
+    """The protocol side of one spec's batch-eligible lowered form."""
 
-    The conditions mirror the serial engine's vectorized-fast-path
-    eligibility, extended batch-wise: synchronized feedback (no
-    unsynchronized loss, no ECN), real-valued windows, no scheduled
-    events, a constant non-congestion loss rate, and every flow's
-    protocol opting into :meth:`~repro.protocols.base.Protocol.batched_next`
-    with its instance state fully captured by ``batch_param_names``.
-    Anything the kernel cannot express — including a spec that fails to
-    lower at all — runs serially instead, where it reproduces the exact
-    serial behaviour (or the exact serial error).
+    protocols: list
+    steps: int
+    initial: list[float]
+    random_rate: float
+    min_window: float
+    max_window: float
+    enforce_loss_based: bool
+
+
+@dataclass
+class _FluidRow(_CellRow):
+    link: Any
+
+
+@dataclass
+class _NetworkRow(_CellRow):
+    links: list  # per-column Link objects, in link_names order
+    link_names: list[str]
+    paths: tuple[tuple[int, ...], ...]  # flow -> link columns
+    base_rtts: list[float]
+    timeout_caps: list[float]
+
+
+def _cell_fields(
+    protocols: Sequence,
+    loss_process: object,
+    initial_windows: Sequence[float] | None,
+) -> dict[str, Any] | None:
+    """The eligibility checks both protocol-cell kernels share.
+
+    A constant non-congestion loss rate (no loss, or deterministic
+    Bernoulli loss), every flow's protocol opting into
+    :meth:`~repro.protocols.base.Protocol.batched_next` with its instance
+    state fully captured by ``batch_param_names``, and finite
+    non-negative initial windows (``1.0`` each when unset). Returns the
+    ``random_rate`` and ``initial`` row fields, or ``None`` to fall back.
     """
-    try:
-        link, protocols, config, steps = spec.lower_fluid()
-    except Exception:
-        return None
-    if not config.allow_vectorized:
-        return None
-    if config.unsynchronized_loss or config.integer_windows:
-        return None
-    if config.schedule.sender_starts or config.schedule.link_changes:
-        return None
-    if link.marking_enabled:
-        return None
-    lp = config.loss_process
-    if isinstance(lp, NoLoss):
+    if isinstance(loss_process, NoLoss):
         random_rate = 0.0
-    elif isinstance(lp, BernoulliLoss) and lp.deterministic:
-        random_rate = lp.p
+    elif isinstance(loss_process, BernoulliLoss) and loss_process.deterministic:
+        random_rate = loss_process.p
     else:
         return None
     for protocol in protocols:
@@ -158,25 +202,18 @@ def _lower_for_batch(index: int, spec: ScenarioSpec) -> _Lowered | None:
         except TypeError:
             return None
     initial = (
-        list(config.initial_windows)
-        if config.initial_windows is not None
+        list(initial_windows)
+        if initial_windows is not None
         else [1.0] * len(protocols)
     )
     if len(initial) != len(protocols):
         return None
     if not all(math.isfinite(w) and w >= 0 for w in initial):
         return None
-    return _Lowered(
-        index=index,
-        link=link,
-        protocols=list(protocols),
-        steps=steps,
-        initial=[float(w) for w in initial],
-        random_rate=float(random_rate),
-        min_window=config.min_window,
-        max_window=config.max_window,
-        enforce_loss_based=config.enforce_loss_based,
-    )
+    return {
+        "random_rate": float(random_rate),
+        "initial": [float(w) for w in initial],
+    }
 
 
 def _class_cells(
@@ -211,85 +248,449 @@ def _class_cells(
     return tuple(class_table), cell_classes, cell_params
 
 
-def _build_inputs(rows: list[_Lowered]) -> BatchInputs:
-    """Stack one group's lowered specs into cell-table kernel inputs."""
+def _stack_cells(rows: list[_CellRow]) -> dict[str, Any]:
+    """The kernel inputs both protocol-cell lanes stack the same way."""
     first = rows[0]
     class_table, cell_classes, cell_params = _class_cells(
         [row.protocols for row in rows]
     )
-    return BatchInputs(
-        steps=first.steps,
-        class_table=class_table,
-        cell_classes=cell_classes,
-        cell_params=cell_params,
-        initial=np.array([row.initial for row in rows], dtype=float),
-        capacity=np.array([row.link.capacity for row in rows], dtype=float),
-        bandwidth=np.array([row.link.bandwidth for row in rows], dtype=float),
-        base_rtt=np.array([row.link.base_rtt for row in rows], dtype=float),
-        pipe_limit=np.array([row.link.pipe_limit for row in rows], dtype=float),
-        timeout_rtt=np.array(
-            [row.link.timeout_rtt for row in rows], dtype=float
-        ),
-        random_rate=np.array([row.random_rate for row in rows], dtype=float),
-        min_window=np.array([row.min_window for row in rows], dtype=float),
-        max_window=np.array([row.max_window for row in rows], dtype=float),
-        enforce_loss_based=first.enforce_loss_based,
+    return {
+        "steps": first.steps,
+        "class_table": class_table,
+        "cell_classes": cell_classes,
+        "cell_params": cell_params,
+        "initial": np.array([row.initial for row in rows], dtype=float),
+        "random_rate": np.array([row.random_rate for row in rows], dtype=float),
+        "min_window": np.array([row.min_window for row in rows], dtype=float),
+        "max_window": np.array([row.max_window for row in rows], dtype=float),
+        "enforce_loss_based": first.enforce_loss_based,
+    }
+
+
+#: Per-scenario link parameters of the single-link kernels.
+_LINK_FIELDS = ("capacity", "bandwidth", "base_rtt", "pipe_limit", "timeout_rtt")
+
+
+def _link_arrays(links: list) -> dict[str, np.ndarray]:
+    """One ``(B,)`` array per :data:`_LINK_FIELDS` entry."""
+    return {
+        name: np.array([getattr(link, name) for link in links], dtype=float)
+        for name in _LINK_FIELDS
+    }
+
+
+# ----------------------------------------------------------------------
+# The fluid lane
+# ----------------------------------------------------------------------
+def _lower_fluid(spec: ScenarioSpec) -> _FluidRow | None:
+    """The serial engine's vectorized-fast-path eligibility, batch-wise:
+    synchronized feedback (no unsynchronized loss, no ECN), real-valued
+    windows, no scheduled events, plus the shared cell checks."""
+    link, protocols, config, steps = spec.lower_fluid()
+    if not config.allow_vectorized:
+        return None
+    if config.unsynchronized_loss or config.integer_windows:
+        return None
+    if config.schedule.sender_starts or config.schedule.link_changes:
+        return None
+    if link.marking_enabled:
+        return None
+    cells = _cell_fields(protocols, config.loss_process, config.initial_windows)
+    if cells is None:
+        return None
+    return _FluidRow(
+        protocols=list(protocols),
+        steps=steps,
+        min_window=config.min_window,
+        max_window=config.max_window,
+        enforce_loss_based=config.enforce_loss_based,
+        link=link,
+        **cells,
     )
+
+
+def _fluid_inputs(rows: list[_FluidRow]) -> BatchInputs:
+    return BatchInputs(
+        **_stack_cells(rows), **_link_arrays([row.link for row in rows])
+    )
+
+
+def _fluid_kernel(inputs: BatchInputs, out: dict | None = None) -> BatchResult:
+    return run_batch_kernel(inputs, out=out)
+
+
+def _fluid_trace(group: BatchGroup, result: BatchResult, pos: int, spec):
+    from repro.perf import store
+
+    return store.extract_batch_trace(
+        result,
+        pos,
+        capacity=float(group.inputs.capacity[pos]),
+        pipe_limit=float(group.inputs.pipe_limit[pos]),
+        base_rtt=float(group.inputs.base_rtt[pos]),
+    )
+
+
+def _fluid_shapes(inputs: BatchInputs) -> dict[str, tuple[int, ...]]:
+    steps, b, n = inputs.steps, inputs.batch_size, inputs.n_senders
+    return {
+        "windows": (steps, b, n),
+        "observed_loss": (steps, b),
+        "congestion_loss": (steps, b),
+        "rtts": (steps, b),
+    }
+
+
+# ----------------------------------------------------------------------
+# The network lane
+# ----------------------------------------------------------------------
+def _lower_network(spec: ScenarioSpec) -> _NetworkRow | None:
+    """A valid topology with one batchable protocol per flow, a sane
+    clamp, plus the shared cell checks. A missing loss process lowers
+    as the serial engine's ``NoLoss`` substitution. ``base_rtts`` and
+    ``timeout_caps`` are precomputed with the serial engine's own Python
+    float sums (column order, left to right), so the kernel never
+    re-derives them."""
+    topology, protocols, kwargs, steps = spec.lower_network()
+    topology.validate()
+    if len(protocols) != topology.n_flows:
+        return None
+    min_window = kwargs["min_window"]
+    max_window = kwargs["max_window"]
+    if min_window < 0 or max_window < min_window:
+        return None
+    loss_process = kwargs["loss_process"]
+    cells = _cell_fields(
+        protocols,
+        NoLoss() if loss_process is None else loss_process,
+        kwargs["initial_windows"],
+    )
+    if cells is None:
+        return None
+    link_names = list(topology.links)
+    link_index = {name: i for i, name in enumerate(link_names)}
+    links = [topology.links[name] for name in link_names]
+    paths = tuple(
+        tuple(link_index[name] for name in path) for path in topology.paths
+    )
+    return _NetworkRow(
+        protocols=list(protocols),
+        steps=steps,
+        min_window=min_window,
+        max_window=max_window,
+        enforce_loss_based=kwargs["enforce_loss_based"],
+        links=links,
+        link_names=link_names,
+        paths=paths,
+        base_rtts=[float(topology.base_rtt_of(j)) for j in range(topology.n_flows)],
+        timeout_caps=[
+            float(2 * sum(links[col].full_buffer_rtt() for col in cols))
+            for cols in paths
+        ],
+        **cells,
+    )
+
+
+def _network_inputs(rows: list[_NetworkRow]):
+    from repro.netmodel.batch import NetBatchInputs
+
+    per_link = {
+        name: np.array(
+            [[getattr(link, name) for link in row.links] for row in rows],
+            dtype=float,
+        )
+        for name in ("capacity", "bandwidth", "buffer_size", "pipe_limit")
+    }
+    return NetBatchInputs(
+        **_stack_cells(rows),
+        **per_link,
+        base_rtts=np.array([row.base_rtts for row in rows], dtype=float),
+        timeout_caps=np.array([row.timeout_caps for row in rows], dtype=float),
+        paths=rows[0].paths,
+    )
+
+
+def _network_kernel(inputs, out: dict | None = None):
+    from repro.netmodel.batch import run_network_batch_kernel
+
+    return run_network_batch_kernel(inputs, out=out)
+
+
+def _network_trace(group: BatchGroup, result, pos: int, spec: ScenarioSpec):
+    from repro.backends.trace import from_network_trace
+    from repro.netmodel.trace import NetworkTrace
+
+    net = NetworkTrace(
+        windows=result.windows[:, pos].copy(),
+        flow_loss=result.flow_loss[:, pos].copy(),
+        flow_rtts=result.flow_rtts[:, pos].copy(),
+        link_load=result.link_load[:, pos].copy(),
+        link_loss=result.link_loss[:, pos].copy(),
+        link_names=list(group.rows[pos].link_names),
+        base_rtts=group.inputs.base_rtts[pos].copy(),
+    )
+    return from_network_trace(net, spec.link, backend="network")
+
+
+def _network_shapes(inputs) -> dict[str, tuple[int, ...]]:
+    steps, b = inputs.steps, inputs.batch_size
+    flows = (steps, b, inputs.n_senders)
+    links = (steps, b, inputs.n_links)
+    return {
+        "windows": flows,
+        "flow_loss": flows,
+        "flow_rtts": flows,
+        "link_load": links,
+        "link_loss": links,
+    }
+
+
+def _network_result(**fields):
+    from repro.netmodel.batch import NetBatchResult
+
+    return NetBatchResult(**fields)
+
+
+# ----------------------------------------------------------------------
+# The mean-field lane
+# ----------------------------------------------------------------------
+@dataclass
+class _MeanFieldRow:
+    scenario: Any  # MeanFieldScenario
+    grid: Any  # WindowGrid
+    state: Any  # _GroupState: plans, trigger, initial mass
+
+
+def _lower_meanfield(spec: ScenarioSpec) -> _MeanFieldRow | None:
+    """The stacked kernel advances one density per scenario, so only
+    single-group scenarios qualify (multi-protocol mixes keep their
+    per-group serial loop); AQM marking stays serial too — the batch
+    step hard-codes the zero mark fraction of a droptail link. Building
+    the group state here also front-loads every precondition error
+    (trigger separation, non-finite branch images)."""
+    from repro.meanfield.dynamics import _GroupState
+
+    scenario = spec.lower_meanfield()
+    if len(scenario.groups) != 1 or scenario.link.marking_enabled:
+        return None
+    grid = scenario.resolved_grid()
+    state = _GroupState(
+        scenario.groups[0], grid, scenario.min_window, scenario.max_window
+    )
+    return _MeanFieldRow(scenario=scenario, grid=grid, state=state)
+
+
+def _meanfield_inputs(rows: list[_MeanFieldRow]):
+    from repro.meanfield.batch import MeanFieldBatchInputs, mass_support, stack_plans
+
+    first = rows[0]
+    plans_lo, plans_hi = stack_plans(
+        [row.state.growth_plan for row in rows],
+        [row.state.decrease_plan for row in rows],
+    )
+    supports = [mass_support(row.state.mass) for row in rows]
+    return MeanFieldBatchInputs(
+        steps=first.scenario.steps,
+        synchronized=first.scenario.synchronized,
+        op=first.state.trigger_op,
+        thresholds=np.array(
+            [row.state.trigger_threshold for row in rows], dtype=float
+        ),
+        points=np.stack([row.grid.points() for row in rows]),
+        plans_lo=plans_lo,
+        plans_hi=plans_hi,
+        mass=np.stack([row.state.mass for row in rows]),
+        supp_start=np.array([s[0] for s in supports], dtype=np.int64),
+        supp_len=np.array([s[1] for s in supports], dtype=np.int64),
+        populations=np.array([row.state.population for row in rows], dtype=float),
+        random_rate=np.array(
+            [row.scenario.random_loss_rate for row in rows], dtype=float
+        ),
+        **_link_arrays([row.scenario.link for row in rows]),
+    )
+
+
+def _meanfield_kernel(inputs):
+    from repro.meanfield.batch import run_meanfield_batch_kernel
+
+    return run_meanfield_batch_kernel(inputs)
+
+
+def _meanfield_trace(group: BatchGroup, result, pos: int, spec):
+    from repro.backends.trace import from_meanfield_result
+    from repro.meanfield.dynamics import MeanFieldResult
+
+    row = group.rows[pos]
+    mf = MeanFieldResult(
+        grid=row.grid,
+        link=row.scenario.link,
+        populations=np.array([row.state.population], dtype=float),
+        group_names=[row.state.protocol.name],
+        mean_windows=result.mean_windows[:, pos : pos + 1].copy(),
+        observed_loss=result.observed_loss[:, pos : pos + 1].copy(),
+        congestion_loss=result.congestion_loss[:, pos].copy(),
+        rtts=result.rtts[:, pos].copy(),
+        masses=[result.masses[pos].copy()],
+    )
+    return from_meanfield_result(mf, backend="meanfield")
+
+
+def _net_kernel_cells() -> int:
+    from repro.netmodel.batch import net_kernel_cells
+
+    return net_kernel_cells()
+
+
+#: The array backends' lane records, by backend name.
+LANES: dict[str, BatchLane] = {
+    lane.backend: lane
+    for lane in (
+        BatchLane(
+            backend="fluid",
+            lower=_lower_fluid,
+            group_key=lambda row: (len(row.protocols), row.steps, row.enforce_loss_based),
+            build_inputs=_fluid_inputs,
+            kernel=_fluid_kernel,
+            extract=_fluid_trace,
+            chunking=Chunking(
+                shapes=_fluid_shapes,
+                result=BatchResult,
+                section="batch.kernel",
+                cells=kernel_cells,
+            ),
+        ),
+        BatchLane(
+            backend="network",
+            lower=_lower_network,
+            group_key=lambda row: (
+                len(row.protocols),
+                len(row.link_names),
+                row.paths,
+                row.steps,
+                row.enforce_loss_based,
+            ),
+            build_inputs=_network_inputs,
+            kernel=_network_kernel,
+            extract=_network_trace,
+            chunking=Chunking(
+                shapes=_network_shapes,
+                result=_network_result,
+                section="batch.net_kernel",
+                cells=_net_kernel_cells,
+            ),
+        ),
+        BatchLane(
+            backend="meanfield",
+            lower=_lower_meanfield,
+            group_key=lambda row: (
+                row.grid.cells,
+                row.scenario.steps,
+                row.scenario.synchronized,
+                row.state.trigger_op,
+            ),
+            build_inputs=_meanfield_inputs,
+            kernel=_meanfield_kernel,
+            extract=_meanfield_trace,
+        ),
+    )
+}
+
+
+# ----------------------------------------------------------------------
+# The planner
+# ----------------------------------------------------------------------
+def _plan(
+    lane: BatchLane, specs: Sequence[ScenarioSpec], indices: Sequence[int] | None
+) -> BatchPlan:
+    """Group ``specs`` (or the subset ``indices``) for ``lane``'s kernel.
+
+    Grouping preserves submission order within each group, and a
+    singleton group is simply a batch of one. A spec that fails to lower
+    at all falls back too: the serial path then reproduces the exact
+    serial behaviour (or the exact serial error).
+    """
+    if indices is None:
+        indices = range(len(specs))
+    grouped: dict[tuple, tuple[list[int], list]] = {}
+    fallback: list[int] = []
+    with timing.measure("batch.plan"):
+        for index in indices:
+            try:
+                row = lane.lower(specs[index])
+            except Exception:
+                row = None
+            if row is None:
+                fallback.append(index)
+                continue
+            members, rows = grouped.setdefault(lane.group_key(row), ([], []))
+            members.append(index)
+            rows.append(row)
+        groups = [
+            BatchGroup(indices=members, inputs=lane.build_inputs(rows), rows=rows)
+            for members, rows in grouped.values()
+        ]
+    return BatchPlan(groups=groups, fallback=fallback)
 
 
 def plan_batches(
     specs: Sequence[ScenarioSpec],
     indices: Sequence[int] | None = None,
 ) -> BatchPlan:
-    """Group ``specs`` (or the subset named by ``indices``) for the kernel.
+    """Group ``specs`` (or the subset named by ``indices``) for the fluid
+    kernel.
 
     Specs batch together when they share the flow count, the horizon,
     and loss-based enforcement; everything per-scenario beyond that —
     link parameters, protocol *classes* (via the kernel's per-cell
     dispatch table), protocol parameters, initial windows, clamps,
-    random loss rate — varies along the batch axis. Grouping preserves
-    submission order within each group, and a singleton group is simply
-    a batch of one.
+    random loss rate — varies along the batch axis.
     """
-    if indices is None:
-        indices = range(len(specs))
-    grouped: dict[tuple, list[_Lowered]] = {}
-    fallback: list[int] = []
-    with timing.measure("batch.plan"):
-        for index in indices:
-            lowered = _lower_for_batch(index, specs[index])
-            if lowered is None:
-                fallback.append(index)
-                continue
-            key = (
-                len(lowered.protocols),
-                lowered.steps,
-                lowered.enforce_loss_based,
-            )
-            grouped.setdefault(key, []).append(lowered)
-        groups = [
-            BatchGroup(
-                indices=[row.index for row in rows],
-                inputs=_build_inputs(rows),
-            )
-            for rows in grouped.values()
-        ]
-    return BatchPlan(groups=groups, fallback=fallback)
+    return _plan(LANES["fluid"], specs, indices)
+
+
+def plan_network_batches(
+    specs: Sequence[ScenarioSpec],
+    indices: Sequence[int] | None = None,
+) -> BatchPlan:
+    """Group ``specs`` (or the subset ``indices``) for the network kernel.
+
+    Specs batch together when they share the topology *structure* — flow
+    count, link count, the flow-to-column path map — plus the horizon
+    and loss-based enforcement. Link names and parameters, protocol
+    classes and constants, initial windows, clamps and random loss rates
+    all vary along the batch axis; each group keeps every row's link
+    names so the extracted trace matches the serial one field for field.
+    """
+    return _plan(LANES["network"], specs, indices)
+
+
+def plan_meanfield_batches(
+    specs: Sequence[ScenarioSpec],
+    indices: Sequence[int] | None = None,
+) -> BatchPlan:
+    """Group ``specs`` (or the subset ``indices``) for the stacked kernel.
+
+    Specs batch together when they share the cell count, the horizon,
+    the feedback mode and the trigger comparator; each row keeps its own
+    grid (resolution and span), branch plans, link parameters, trigger
+    threshold, population and random loss rate.
+    """
+    return _plan(LANES["meanfield"], specs, indices)
 
 
 # ----------------------------------------------------------------------
-# Execution: serial kernel or shared-memory chunk scheduler
+# Execution: in-process kernel or shared-memory chunk scheduler
 # ----------------------------------------------------------------------
-def autotune_chunk_rows(steps: int) -> int:
+def autotune_chunk_rows(lane: BatchLane, steps: int) -> int:
     """Rows per chunk targeting ~``_TARGET_CHUNK_SECONDS`` of kernel time.
 
-    Uses the measured throughput of previous kernel calls (the
-    ``batch.kernel`` section of :data:`repro.perf.timing.REGISTRY` over
-    :func:`repro.model.batch.kernel_cells`); before any measurement
-    exists, a fixed default applies.
+    Uses the measured throughput of ``lane``'s previous kernel calls (its
+    ``timing.REGISTRY`` section over its advanced scenario-steps);
+    before any measurement exists, a fixed default applies.
     """
-    cells = kernel_cells()
-    spent = timing.REGISTRY.total("batch.kernel")
+    assert lane.chunking is not None
+    cells = lane.chunking.cells()
+    spent = timing.REGISTRY.total(lane.chunking.section)
     if cells <= 0 or spent <= 0.0:
         return _DEFAULT_CHUNK_ROWS
     seconds_per_cell = spent / cells
@@ -298,15 +699,15 @@ def autotune_chunk_rows(steps: int) -> int:
 
 
 def _kernel_chunk(
+    backend: str,
     shm_names: dict[str, str],
-    steps: int,
-    total_rows: int,
-    n_senders: int,
-    chunk: BatchInputs,
+    shapes: dict[str, tuple[int, ...]],
+    chunk,
     lo: int,
     hi: int,
 ) -> dict[int, int]:
-    """Worker: advance rows ``lo:hi`` writing into the shared buffers.
+    """Worker: advance rows ``lo:hi`` of a lane's batch into the shared
+    buffers.
 
     Only the (typically empty) failure map is returned through the pool;
     all array output lands in shared memory, which is the point.
@@ -326,17 +727,9 @@ def _kernel_chunk(
         for name, shm_name in shm_names.items():
             shm = shared_memory.SharedMemory(name=shm_name)
             segments.append(shm)
-            if name == "windows":
-                full = np.ndarray(
-                    (steps, total_rows, n_senders), dtype=np.float64, buffer=shm.buf
-                )
-                out[name] = full[:, lo:hi, :]
-            else:
-                full = np.ndarray(
-                    (steps, total_rows), dtype=np.float64, buffer=shm.buf
-                )
-                out[name] = full[:, lo:hi]
-        result = run_batch_kernel(chunk, out=out)
+            full = np.ndarray(shapes[name], dtype=np.float64, buffer=shm.buf)
+            out[name] = full[:, lo:hi]
+        result = LANES[backend].kernel(chunk, out=out)
         failed = {lo + row: step for row, step in result.failed.items()}
         # Drop every view into the buffers before closing the segments.
         del result, out, full
@@ -349,9 +742,7 @@ def _kernel_chunk(
                 pass  # released at worker exit
 
 
-def _run_group_shm(
-    inputs: BatchInputs, workers: int, chunk_rows: int
-) -> BatchResult | None:
+def _run_group_shm(lane: BatchLane, inputs, workers: int, chunk_rows: int):
     """Chunk the batch across a process pool via shared-memory buffers.
 
     Returns ``None`` when shared memory or a pool is unavailable on this
@@ -365,13 +756,9 @@ def _run_group_shm(
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import shared_memory
 
-    steps, b, n = inputs.steps, inputs.batch_size, inputs.n_senders
-    shapes = {
-        "windows": (steps, b, n),
-        "observed_loss": (steps, b),
-        "congestion_loss": (steps, b),
-        "rtts": (steps, b),
-    }
+    assert lane.chunking is not None
+    b = inputs.batch_size
+    shapes = lane.chunking.shapes(inputs)
     segments: dict[str, object] = {}
     try:
         try:
@@ -393,11 +780,10 @@ def _run_group_shm(
             futures = [
                 pool.submit(
                     _kernel_chunk,
+                    lane.backend,
                     shm_names,
-                    steps,
-                    b,
-                    n,
-                    inputs.rows(lo, hi),
+                    shapes,
+                    slice_rows(inputs, lo, hi),
                     lo,
                     hi,
                 )
@@ -410,7 +796,7 @@ def _run_group_shm(
             view = np.ndarray(shapes[name], dtype=np.float64, buffer=seg.buf)
             arrays[name] = view.copy()
             del view
-        return BatchResult(failed=failed, **arrays)
+        return lane.chunking.result(failed=failed, **arrays)
     finally:
         for seg in segments.values():
             try:
@@ -421,23 +807,96 @@ def _run_group_shm(
 
 
 def _run_group(
-    inputs: BatchInputs,
-    workers: int | None = None,
-    chunk_rows: int | None = None,
-) -> BatchResult:
+    lane: BatchLane, inputs, workers: int | None, chunk_rows: int | None
+):
     """Run one group: chunked over shared memory when it pays, else inline."""
-    if workers is not None and workers > 1 and inputs.batch_size > 1:
-        rows = chunk_rows if chunk_rows is not None else autotune_chunk_rows(inputs.steps)
+    if (
+        lane.chunking is not None
+        and workers is not None
+        and workers > 1
+        and inputs.batch_size > 1
+    ):
+        rows = chunk_rows if chunk_rows is not None else autotune_chunk_rows(
+            lane, inputs.steps
+        )
         if inputs.batch_size > rows:
-            result = _run_group_shm(inputs, workers, rows)
+            result = _run_group_shm(lane, inputs, workers, rows)
             if result is not None:
                 return result
-    return run_batch_kernel(inputs)
+    return lane.kernel(inputs)
 
 
 # ----------------------------------------------------------------------
-# The batched run_specs path
+# The runner
 # ----------------------------------------------------------------------
+def _probe(backend: str, specs: list, use_cache: bool):
+    """Serve cached specs from the unified store.
+
+    Returns ``(results, cache, keys, pending)``: ``results`` holds the
+    hits, ``pending`` the indices still to compute, ``keys`` their store
+    keys (``None`` where uncacheable or with ``use_cache=False``).
+    """
+    from repro.perf import store
+    from repro.perf.cache import active_cache
+
+    results: list = [None] * len(specs)
+    cache = active_cache() if use_cache else None
+    keys: list[str | None] = [None] * len(specs)
+    pending: list[int] = []
+    for i, spec in enumerate(specs):
+        if cache is not None:
+            keys[i] = store.unified_key(backend, spec)
+            if keys[i] is not None:
+                hit = store.load_unified_trace(cache, keys[i])
+                if hit is not None:
+                    results[i] = hit
+                    continue
+        pending.append(i)
+    return results, cache, keys, pending
+
+
+def _run_lane(
+    lane: BatchLane,
+    plan: Callable[..., BatchPlan],
+    specs: Sequence[ScenarioSpec],
+    use_cache: bool,
+    skip_errors: bool,
+    workers: int | None = None,
+    chunk_rows: int | None = None,
+) -> list:
+    """Run every spec on ``lane``'s backend, batching compatible ones.
+
+    ``plan`` is the lane's public planner, passed in by the caller so
+    the call resolves on this module at call time.
+    """
+    from repro.perf import store
+
+    specs = list(specs)
+    results, cache, keys, pending = _probe(lane.backend, specs, use_cache)
+    batch_plan = plan(specs, pending)
+    serial = list(batch_plan.fallback)
+    for group in batch_plan.groups:
+        result = _run_group(lane, group.inputs, workers, chunk_rows)
+        for pos, index in enumerate(group.indices):
+            if pos in result.failed:
+                # Recompute serially to raise the exact serial error.
+                serial.append(index)
+                continue
+            trace = lane.extract(group, result, pos, specs[index])
+            results[index] = trace
+            if cache is not None and keys[index] is not None:
+                store.store_unified_trace(cache, keys[index], trace)
+
+    for index in sorted(serial):
+        try:
+            results[index] = run_spec(specs[index], lane.backend, use_cache=use_cache)
+        except Exception:
+            if not skip_errors:
+                raise
+            results[index] = None
+    return results
+
+
 def run_specs_batched(
     specs: Sequence[ScenarioSpec],
     use_cache: bool = True,
@@ -454,52 +913,46 @@ def run_specs_batched(
     failing spec yields ``None`` instead of raising; other specs are
     unaffected either way.
     """
-    from repro.perf import store
-    from repro.perf.cache import active_cache
+    return _run_lane(
+        LANES["fluid"], plan_batches, specs, use_cache, skip_errors,
+        workers, chunk_rows,
+    )
 
-    specs = list(specs)
-    results: list = [None] * len(specs)
-    cache = active_cache() if use_cache else None
-    keys: list[str | None] = [None] * len(specs)
-    pending: list[int] = []
-    for i, spec in enumerate(specs):
-        if cache is not None:
-            keys[i] = store.unified_key("fluid", spec)
-            if keys[i] is not None:
-                hit = store.load_unified_trace(cache, keys[i])
-                if hit is not None:
-                    results[i] = hit
-                    continue
-        pending.append(i)
 
-    plan = plan_batches(specs, pending)
-    serial = list(plan.fallback)
-    for group in plan.groups:
-        result = _run_group(group.inputs, workers=workers, chunk_rows=chunk_rows)
-        for pos, index in enumerate(group.indices):
-            if pos in result.failed:
-                # Recompute serially to raise the exact serial error.
-                serial.append(index)
-                continue
-            trace = store.extract_batch_trace(
-                result,
-                pos,
-                capacity=float(group.inputs.capacity[pos]),
-                pipe_limit=float(group.inputs.pipe_limit[pos]),
-                base_rtt=float(group.inputs.base_rtt[pos]),
-            )
-            results[index] = trace
-            if cache is not None and keys[index] is not None:
-                store.store_unified_trace(cache, keys[index], trace)
+def run_network_specs_batched(
+    specs: Sequence[ScenarioSpec],
+    use_cache: bool = True,
+    skip_errors: bool = False,
+    workers: int | None = None,
+    chunk_rows: int | None = None,
+) -> list:
+    """Run every spec on the network backend, batching compatible ones.
 
-    for index in sorted(serial):
-        try:
-            results[index] = run_spec(specs[index], "fluid", use_cache=use_cache)
-        except Exception:
-            if not skip_errors:
-                raise
-            results[index] = None
-    return results
+    The multi-link analogue of :func:`run_specs_batched`: bit-identical
+    to ``run_spec(spec, "network")`` on every path, warming the same
+    unified-store entries serial runs read.
+    """
+    return _run_lane(
+        LANES["network"], plan_network_batches, specs, use_cache, skip_errors,
+        workers, chunk_rows,
+    )
+
+
+def run_meanfield_specs_batched(
+    specs: Sequence[ScenarioSpec],
+    use_cache: bool = True,
+    skip_errors: bool = False,
+) -> list:
+    """Run every spec on the mean-field backend, batching compatible ones.
+
+    The density analogue of :func:`run_specs_batched`: bit-identical to
+    ``run_spec(spec, "meanfield")`` on every path, warming the same
+    unified-store entries serial runs read. The stacked kernel runs
+    in-process.
+    """
+    return _run_lane(
+        LANES["meanfield"], plan_meanfield_batches, specs, use_cache, skip_errors
+    )
 
 
 def run_packet_specs_batched(
@@ -523,24 +976,14 @@ def run_packet_specs_batched(
     from repro.backends.trace import from_packet_result
     from repro.packetsim.batch import run_scenarios_batched
     from repro.perf import store
-    from repro.perf.cache import active_cache
 
     specs = list(specs)
-    results: list = [None] * len(specs)
-    cache = active_cache() if use_cache else None
-    keys: list[str | None] = [None] * len(specs)
+    results, cache, keys, probed = _probe("packet", specs, use_cache)
     pending: list[int] = []
     scenarios: list = []
-    for i, spec in enumerate(specs):
-        if cache is not None:
-            keys[i] = store.unified_key("packet", spec)
-            if keys[i] is not None:
-                hit = store.load_unified_trace(cache, keys[i])
-                if hit is not None:
-                    results[i] = hit
-                    continue
+    for i in probed:
         try:
-            scenarios.append(spec.lower_packet())
+            scenarios.append(specs[i].lower_packet())
         except Exception:
             if not skip_errors:
                 raise
@@ -554,642 +997,4 @@ def run_packet_specs_batched(
         results[i] = trace
         if cache is not None and keys[i] is not None:
             store.store_unified_trace(cache, keys[i], trace)
-    return results
-
-
-# ----------------------------------------------------------------------
-# The network backend's batch lane
-# ----------------------------------------------------------------------
-@dataclass
-class _NetLowered:
-    """One spec's network-batch-eligible lowered form."""
-
-    index: int
-    links: list  # per-column Link objects, in link_names order
-    link_names: list[str]
-    paths: tuple[tuple[int, ...], ...]  # flow -> link columns
-    protocols: list
-    steps: int
-    initial: list[float]
-    random_rate: float
-    min_window: float
-    max_window: float
-    enforce_loss_based: bool
-    base_rtts: list[float]
-    timeout_caps: list[float]
-
-
-@dataclass
-class NetworkBatchGroup:
-    """Network specs the kernel advances together, plus per-row names.
-
-    Rows in a group share topology *structure* (the paths-as-columns
-    tuple), not link *names* — each row keeps its own name list so the
-    extracted :class:`~repro.netmodel.trace.NetworkTrace` matches the
-    serial one field for field.
-    """
-
-    indices: list[int]
-    inputs: "object"  # NetBatchInputs
-    link_names: list[list[str]]
-
-
-@dataclass
-class NetworkBatchPlan:
-    """The outcome of network planning: kernel groups plus fallbacks."""
-
-    groups: list[NetworkBatchGroup]
-    fallback: list[int]
-
-
-def _lower_for_network_batch(index: int, spec: ScenarioSpec) -> _NetLowered | None:
-    """``spec``'s network-batch-eligible form, or ``None`` to fall back.
-
-    Mirrors the fluid planner's protocol and loss eligibility on top of
-    the network lowering: a valid topology, one batchable stateless
-    protocol per flow, constant deterministic non-congestion loss, finite
-    non-negative initial windows, a sane clamp. ``base_rtts`` and
-    ``timeout_caps`` are precomputed here with the serial engine's own
-    Python float sums (column order, left to right), so the kernels never
-    re-derive them.
-    """
-    try:
-        topology, protocols, kwargs, steps = spec.lower_network()
-        topology.validate()
-    except Exception:
-        return None
-    if len(protocols) != topology.n_flows:
-        return None
-    min_window = kwargs["min_window"]
-    max_window = kwargs["max_window"]
-    if min_window < 0 or max_window < min_window:
-        return None
-    lp = kwargs["loss_process"]
-    if lp is None or isinstance(lp, NoLoss):
-        # The serial engine substitutes NoLoss for a missing process.
-        random_rate = 0.0
-    elif isinstance(lp, BernoulliLoss) and lp.deterministic:
-        random_rate = lp.p
-    else:
-        return None
-    for protocol in protocols:
-        cls = type(protocol)
-        if not getattr(cls, "supports_batched", False):
-            return None
-        try:
-            if set(vars(protocol)) != set(cls.batch_param_names):
-                return None
-        except TypeError:
-            return None
-    initial = (
-        list(kwargs["initial_windows"])
-        if kwargs["initial_windows"] is not None
-        else [1.0] * len(protocols)
-    )
-    if len(initial) != len(protocols):
-        return None
-    if not all(math.isfinite(w) and w >= 0 for w in initial):
-        return None
-    link_names = list(topology.links)
-    link_index = {name: i for i, name in enumerate(link_names)}
-    links = [topology.links[name] for name in link_names]
-    paths = tuple(
-        tuple(link_index[name] for name in path) for path in topology.paths
-    )
-    base_rtts = [topology.base_rtt_of(j) for j in range(topology.n_flows)]
-    timeout_caps = [
-        2 * sum(links[col].full_buffer_rtt() for col in cols) for cols in paths
-    ]
-    return _NetLowered(
-        index=index,
-        links=links,
-        link_names=link_names,
-        paths=paths,
-        protocols=list(protocols),
-        steps=steps,
-        initial=[float(w) for w in initial],
-        random_rate=float(random_rate),
-        min_window=min_window,
-        max_window=max_window,
-        enforce_loss_based=kwargs["enforce_loss_based"],
-        base_rtts=[float(r) for r in base_rtts],
-        timeout_caps=[float(r) for r in timeout_caps],
-    )
-
-
-def _build_network_inputs(rows: list[_NetLowered]):
-    """Stack one group's lowered network specs into kernel inputs."""
-    from repro.netmodel.batch import NetBatchInputs
-
-    first = rows[0]
-    class_table, cell_classes, cell_params = _class_cells(
-        [row.protocols for row in rows]
-    )
-    return NetBatchInputs(
-        steps=first.steps,
-        class_table=class_table,
-        cell_classes=cell_classes,
-        cell_params=cell_params,
-        initial=np.array([row.initial for row in rows], dtype=float),
-        capacity=np.array(
-            [[link.capacity for link in row.links] for row in rows], dtype=float
-        ),
-        bandwidth=np.array(
-            [[link.bandwidth for link in row.links] for row in rows], dtype=float
-        ),
-        buffer_size=np.array(
-            [[link.buffer_size for link in row.links] for row in rows], dtype=float
-        ),
-        pipe_limit=np.array(
-            [[link.pipe_limit for link in row.links] for row in rows], dtype=float
-        ),
-        base_rtts=np.array([row.base_rtts for row in rows], dtype=float),
-        timeout_caps=np.array([row.timeout_caps for row in rows], dtype=float),
-        random_rate=np.array([row.random_rate for row in rows], dtype=float),
-        min_window=np.array([row.min_window for row in rows], dtype=float),
-        max_window=np.array([row.max_window for row in rows], dtype=float),
-        paths=first.paths,
-        enforce_loss_based=first.enforce_loss_based,
-    )
-
-
-def plan_network_batches(
-    specs: Sequence[ScenarioSpec],
-    indices: Sequence[int] | None = None,
-) -> NetworkBatchPlan:
-    """Group ``specs`` (or the subset ``indices``) for the network kernel.
-
-    Specs batch together when they share the topology *structure* — flow
-    count, link count, the flow-to-column path map — plus the horizon
-    and loss-based enforcement. Link names and parameters, protocol
-    classes and constants, initial windows, clamps and random loss rates
-    all vary along the batch axis.
-    """
-    if indices is None:
-        indices = range(len(specs))
-    grouped: dict[tuple, list[_NetLowered]] = {}
-    fallback: list[int] = []
-    with timing.measure("batch.plan"):
-        for index in indices:
-            lowered = _lower_for_network_batch(index, specs[index])
-            if lowered is None:
-                fallback.append(index)
-                continue
-            key = (
-                len(lowered.protocols),
-                len(lowered.link_names),
-                lowered.paths,
-                lowered.steps,
-                lowered.enforce_loss_based,
-            )
-            grouped.setdefault(key, []).append(lowered)
-        groups = [
-            NetworkBatchGroup(
-                indices=[row.index for row in rows],
-                inputs=_build_network_inputs(rows),
-                link_names=[row.link_names for row in rows],
-            )
-            for rows in grouped.values()
-        ]
-    return NetworkBatchPlan(groups=groups, fallback=fallback)
-
-
-def autotune_network_chunk_rows(steps: int) -> int:
-    """Rows per network-kernel chunk targeting the usual chunk seconds.
-
-    The network analogue of :func:`autotune_chunk_rows`, fed by the
-    ``batch.net_kernel`` timing section over
-    :func:`repro.netmodel.batch.net_kernel_cells`.
-    """
-    from repro.netmodel.batch import net_kernel_cells
-
-    cells = net_kernel_cells()
-    spent = timing.REGISTRY.total("batch.net_kernel")
-    if cells <= 0 or spent <= 0.0:
-        return _DEFAULT_CHUNK_ROWS
-    seconds_per_cell = spent / cells
-    rows = int(_TARGET_CHUNK_SECONDS / max(seconds_per_cell * steps, 1e-12))
-    return max(1, min(rows, 4096))
-
-
-def _net_kernel_chunk(
-    shm_names: dict[str, str],
-    steps: int,
-    total_rows: int,
-    widths: dict[str, int],
-    chunk,
-    lo: int,
-    hi: int,
-) -> dict[int, int]:
-    """Worker: advance network rows ``lo:hi`` into the shared buffers.
-
-    The network twin of :func:`_kernel_chunk`; every output buffer is
-    3-D here (per-flow or per-link wide). The same write-safety contract
-    applies (REP701/702): every array built over a shared segment is
-    accessed only through a ``[lo:hi]`` row slice with the pristine
-    planner-assigned bounds.
-    """
-    from multiprocessing import shared_memory
-
-    from repro.netmodel.batch import run_network_batch_kernel
-
-    segments = []
-    try:
-        out: dict[str, np.ndarray] = {}
-        for name, shm_name in shm_names.items():
-            shm = shared_memory.SharedMemory(name=shm_name)
-            segments.append(shm)
-            full = np.ndarray(
-                (steps, total_rows, widths[name]), dtype=np.float64, buffer=shm.buf
-            )
-            out[name] = full[:, lo:hi, :]
-        result = run_network_batch_kernel(chunk, out=out)
-        failed = {lo + row: step for row, step in result.failed.items()}
-        # Drop every view into the buffers before closing the segments.
-        del result, out, full
-        return failed
-    finally:
-        for shm in segments:
-            try:
-                shm.close()
-            except BufferError:
-                pass  # released at worker exit
-
-
-def _run_network_group_shm(inputs, workers: int, chunk_rows: int):
-    """Chunk a network batch across a pool via shared-memory buffers.
-
-    Same contract as :func:`_run_group_shm`: ``None`` when shared memory
-    or a pool is unavailable, bit-identical output either way, and the
-    REP7xx chunk discipline binds only the attaching workers.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import shared_memory
-
-    from repro.netmodel.batch import NetBatchResult
-
-    steps, b = inputs.steps, inputs.batch_size
-    widths = {
-        "windows": inputs.n_senders,
-        "flow_loss": inputs.n_senders,
-        "flow_rtts": inputs.n_senders,
-        "link_load": inputs.n_links,
-        "link_loss": inputs.n_links,
-    }
-    segments: dict[str, object] = {}
-    try:
-        try:
-            for name, width in widths.items():
-                nbytes = steps * b * width * 8
-                segments[name] = shared_memory.SharedMemory(
-                    create=True, size=max(nbytes, 1)
-                )
-        except OSError:
-            return None
-        chunks = [(lo, min(lo + chunk_rows, b)) for lo in range(0, b, chunk_rows)]
-        shm_names = {name: seg.name for name, seg in segments.items()}
-        failed: dict[int, int] = {}
-        try:
-            pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
-        except (OSError, ValueError, RuntimeError):
-            return None
-        with timing.measure("batch.scheduler"), pool:
-            futures = [
-                pool.submit(
-                    _net_kernel_chunk,
-                    shm_names,
-                    steps,
-                    b,
-                    widths,
-                    inputs.rows(lo, hi),
-                    lo,
-                    hi,
-                )
-                for lo, hi in chunks
-            ]
-            for future in futures:
-                failed.update(future.result())
-        arrays = {}
-        for name, seg in segments.items():
-            view = np.ndarray(
-                (steps, b, widths[name]), dtype=np.float64, buffer=seg.buf
-            )
-            arrays[name] = view.copy()
-            del view
-        return NetBatchResult(failed=failed, **arrays)
-    finally:
-        for seg in segments.values():
-            try:
-                seg.close()
-                seg.unlink()
-            except (BufferError, FileNotFoundError, OSError):
-                pass
-
-
-def _run_network_group(
-    inputs,
-    workers: int | None = None,
-    chunk_rows: int | None = None,
-):
-    """Run one network group: chunked when it pays, else in-process."""
-    from repro.netmodel.batch import run_network_batch_kernel
-
-    if workers is not None and workers > 1 and inputs.batch_size > 1:
-        rows = (
-            chunk_rows
-            if chunk_rows is not None
-            else autotune_network_chunk_rows(inputs.steps)
-        )
-        if inputs.batch_size > rows:
-            result = _run_network_group_shm(inputs, workers, rows)
-            if result is not None:
-                return result
-    return run_network_batch_kernel(inputs)
-
-
-def run_network_specs_batched(
-    specs: Sequence[ScenarioSpec],
-    use_cache: bool = True,
-    skip_errors: bool = False,
-    workers: int | None = None,
-    chunk_rows: int | None = None,
-) -> list:
-    """Run every spec on the network backend, batching compatible ones.
-
-    The multi-link analogue of :func:`run_specs_batched`: results are
-    :class:`~repro.backends.trace.UnifiedTrace` objects in spec order,
-    bit-identical to ``run_spec(spec, "network")`` on every path — cache
-    hit, batch kernel (NumPy or JIT), chunked kernel, or serial fallback
-    — and they warm the same unified-store entries serial runs read.
-    """
-    from repro.backends.trace import from_network_trace
-    from repro.netmodel.trace import NetworkTrace
-    from repro.perf import store
-    from repro.perf.cache import active_cache
-
-    specs = list(specs)
-    results: list = [None] * len(specs)
-    cache = active_cache() if use_cache else None
-    keys: list[str | None] = [None] * len(specs)
-    pending: list[int] = []
-    for i, spec in enumerate(specs):
-        if cache is not None:
-            keys[i] = store.unified_key("network", spec)
-            if keys[i] is not None:
-                hit = store.load_unified_trace(cache, keys[i])
-                if hit is not None:
-                    results[i] = hit
-                    continue
-        pending.append(i)
-
-    plan = plan_network_batches(specs, pending)
-    serial = list(plan.fallback)
-    for group in plan.groups:
-        result = _run_network_group(
-            group.inputs, workers=workers, chunk_rows=chunk_rows
-        )
-        for pos, index in enumerate(group.indices):
-            if pos in result.failed:
-                # Recompute serially to raise the exact serial error.
-                serial.append(index)
-                continue
-            net = NetworkTrace(
-                windows=result.windows[:, pos].copy(),
-                flow_loss=result.flow_loss[:, pos].copy(),
-                flow_rtts=result.flow_rtts[:, pos].copy(),
-                link_load=result.link_load[:, pos].copy(),
-                link_loss=result.link_loss[:, pos].copy(),
-                link_names=list(group.link_names[pos]),
-                base_rtts=group.inputs.base_rtts[pos].copy(),
-            )
-            trace = from_network_trace(net, specs[index].link, backend="network")
-            results[index] = trace
-            if cache is not None and keys[index] is not None:
-                store.store_unified_trace(cache, keys[index], trace)
-
-    for index in sorted(serial):
-        try:
-            results[index] = run_spec(specs[index], "network", use_cache=use_cache)
-        except Exception:
-            if not skip_errors:
-                raise
-            results[index] = None
-    return results
-
-
-# ----------------------------------------------------------------------
-# The mean-field backend's batch lane
-# ----------------------------------------------------------------------
-@dataclass
-class _MeanFieldLowered:
-    """One spec's mean-field-batch-eligible lowered form."""
-
-    index: int
-    scenario: object  # MeanFieldScenario
-    grid: object  # WindowGrid
-    state: object  # _GroupState: plans, trigger, initial mass
-
-
-@dataclass
-class MeanFieldBatchGroup:
-    """Mean-field specs the stacked kernel advances together."""
-
-    indices: list[int]
-    inputs: "object"  # MeanFieldBatchInputs
-    rows: list[_MeanFieldLowered]
-
-
-@dataclass
-class MeanFieldBatchPlan:
-    """The outcome of mean-field planning: groups plus fallbacks."""
-
-    groups: list[MeanFieldBatchGroup]
-    fallback: list[int]
-
-
-def _lower_for_meanfield_batch(
-    index: int, spec: ScenarioSpec
-) -> _MeanFieldLowered | None:
-    """``spec``'s mean-field-batch-eligible form, or ``None``.
-
-    The stacked kernel advances one density per scenario, so only
-    single-group scenarios qualify (multi-protocol mixes keep their
-    per-group serial loop); AQM marking stays serial too — the batch
-    step hard-codes the zero mark fraction of a droptail link. Building
-    the group state here also front-loads every precondition error
-    (trigger separation, non-finite branch images): a spec that fails
-    falls back and reproduces the exact serial exception.
-    """
-    from repro.meanfield.dynamics import _GroupState
-
-    try:
-        scenario = spec.lower_meanfield()
-    except Exception:
-        return None
-    if len(scenario.groups) != 1:
-        return None
-    if scenario.link.marking_enabled:
-        return None
-    try:
-        grid = scenario.resolved_grid()
-        state = _GroupState(
-            scenario.groups[0], grid, scenario.min_window, scenario.max_window
-        )
-    except Exception:
-        return None
-    return _MeanFieldLowered(index=index, scenario=scenario, grid=grid, state=state)
-
-
-def _build_meanfield_inputs(rows: list[_MeanFieldLowered]):
-    """Stack one group's lowered mean-field specs into kernel inputs."""
-    from repro.meanfield.batch import (
-        MeanFieldBatchInputs,
-        mass_support,
-        stack_plans,
-    )
-
-    first = rows[0]
-    plans_lo, plans_hi = stack_plans(
-        [row.state.growth_plan for row in rows],
-        [row.state.decrease_plan for row in rows],
-    )
-    supports = [mass_support(row.state.mass) for row in rows]
-    return MeanFieldBatchInputs(
-        steps=first.scenario.steps,
-        synchronized=first.scenario.synchronized,
-        op=first.state.trigger_op,
-        thresholds=np.array(
-            [row.state.trigger_threshold for row in rows], dtype=float
-        ),
-        points=np.stack([row.grid.points() for row in rows]),
-        plans_lo=plans_lo,
-        plans_hi=plans_hi,
-        mass=np.stack([row.state.mass for row in rows]),
-        supp_start=np.array([s[0] for s in supports], dtype=np.int64),
-        supp_len=np.array([s[1] for s in supports], dtype=np.int64),
-        populations=np.array([row.state.population for row in rows], dtype=float),
-        capacity=np.array([row.scenario.link.capacity for row in rows], dtype=float),
-        bandwidth=np.array(
-            [row.scenario.link.bandwidth for row in rows], dtype=float
-        ),
-        base_rtt=np.array([row.scenario.link.base_rtt for row in rows], dtype=float),
-        pipe_limit=np.array(
-            [row.scenario.link.pipe_limit for row in rows], dtype=float
-        ),
-        timeout_rtt=np.array(
-            [row.scenario.link.timeout_rtt for row in rows], dtype=float
-        ),
-        random_rate=np.array(
-            [row.scenario.random_loss_rate for row in rows], dtype=float
-        ),
-    )
-
-
-def plan_meanfield_batches(
-    specs: Sequence[ScenarioSpec],
-    indices: Sequence[int] | None = None,
-) -> MeanFieldBatchPlan:
-    """Group ``specs`` (or the subset ``indices``) for the stacked kernel.
-
-    Specs batch together when they share the cell count, the horizon,
-    the feedback mode and the trigger comparator; each row keeps its own
-    grid (resolution and span), branch plans, link parameters, trigger
-    threshold, population and random loss rate.
-    """
-    if indices is None:
-        indices = range(len(specs))
-    grouped: dict[tuple, list[_MeanFieldLowered]] = {}
-    fallback: list[int] = []
-    with timing.measure("batch.plan"):
-        for index in indices:
-            lowered = _lower_for_meanfield_batch(index, specs[index])
-            if lowered is None:
-                fallback.append(index)
-                continue
-            key = (
-                lowered.grid.cells,
-                lowered.scenario.steps,
-                lowered.scenario.synchronized,
-                lowered.state.trigger_op,
-            )
-            grouped.setdefault(key, []).append(lowered)
-        groups = [
-            MeanFieldBatchGroup(
-                indices=[row.index for row in rows],
-                inputs=_build_meanfield_inputs(rows),
-                rows=rows,
-            )
-            for rows in grouped.values()
-        ]
-    return MeanFieldBatchPlan(groups=groups, fallback=fallback)
-
-
-def run_meanfield_specs_batched(
-    specs: Sequence[ScenarioSpec],
-    use_cache: bool = True,
-    skip_errors: bool = False,
-) -> list:
-    """Run every spec on the mean-field backend, batching compatible ones.
-
-    The density analogue of :func:`run_specs_batched`: results are
-    :class:`~repro.backends.trace.UnifiedTrace` objects in spec order,
-    bit-identical to ``run_spec(spec, "meanfield")`` on every path, and
-    they warm the same unified-store entries serial runs read. The
-    stacked kernel runs in-process — one vectorized loop already covers
-    the whole group, so there is nothing for a pool to parallelize.
-    """
-    from repro.backends.trace import from_meanfield_result
-    from repro.meanfield.batch import run_meanfield_batch_kernel
-    from repro.meanfield.dynamics import MeanFieldResult
-    from repro.perf import store
-    from repro.perf.cache import active_cache
-
-    specs = list(specs)
-    results: list = [None] * len(specs)
-    cache = active_cache() if use_cache else None
-    keys: list[str | None] = [None] * len(specs)
-    pending: list[int] = []
-    for i, spec in enumerate(specs):
-        if cache is not None:
-            keys[i] = store.unified_key("meanfield", spec)
-            if keys[i] is not None:
-                hit = store.load_unified_trace(cache, keys[i])
-                if hit is not None:
-                    results[i] = hit
-                    continue
-        pending.append(i)
-
-    plan = plan_meanfield_batches(specs, pending)
-    serial = list(plan.fallback)
-    for group in plan.groups:
-        result = run_meanfield_batch_kernel(group.inputs)
-        for pos, index in enumerate(group.indices):
-            if pos in result.failed:
-                # Recompute serially to raise the exact serial error.
-                serial.append(index)
-                continue
-            row = group.rows[pos]
-            mf = MeanFieldResult(
-                grid=row.grid,
-                link=row.scenario.link,
-                populations=np.array([row.state.population], dtype=float),
-                group_names=[row.state.protocol.name],
-                mean_windows=result.mean_windows[:, pos : pos + 1].copy(),
-                observed_loss=result.observed_loss[:, pos : pos + 1].copy(),
-                congestion_loss=result.congestion_loss[:, pos].copy(),
-                rtts=result.rtts[:, pos].copy(),
-                masses=[result.masses[pos].copy()],
-            )
-            trace = from_meanfield_result(mf, backend="meanfield")
-            results[index] = trace
-            if cache is not None and keys[index] is not None:
-                store.store_unified_trace(cache, keys[index], trace)
-
-    for index in sorted(serial):
-        try:
-            results[index] = run_spec(specs[index], "meanfield", use_cache=use_cache)
-        except Exception:
-            if not skip_errors:
-                raise
-            results[index] = None
     return results

@@ -45,9 +45,17 @@ from repro.exec.jobs import (
     job_runner,
 )
 
-#: Spec backends with a batched engine; SpecJobs on any other backend
-#: fall back per-job (with a one-time warning naming the backend).
-_BATCHED_SPEC_BACKENDS = ("fluid", "packet", "network", "meanfield")
+#: Spec backend -> its batched entry point in :mod:`repro.backends.batch`
+#: and whether that entry point chunks over ``workers``. Entry points are
+#: named rather than held, so every call looks the function up on its
+#: module. SpecJobs on any other backend fall back per-job (with a
+#: one-time warning naming the backend).
+_SPEC_LANES = {
+    "fluid": ("run_specs_batched", True),
+    "meanfield": ("run_meanfield_specs_batched", False),
+    "network": ("run_network_specs_batched", True),
+    "packet": ("run_packet_specs_batched", False),
+}
 
 #: Backends already warned about falling back from ``batch=True``.
 _warned_laneless: set[str] = set()
@@ -364,7 +372,7 @@ class Executor:
             lanes: dict[str, list[int]] = {}
             for index in indices:
                 job = jobs[index]
-                if isinstance(job, SpecJob) and job.backend in _BATCHED_SPEC_BACKENDS:
+                if isinstance(job, SpecJob) and job.backend in _SPEC_LANES:
                     lanes.setdefault(f"spec-{job.backend}", []).append(index)
                 elif isinstance(job, SpecJob):
                     if job.backend not in _warned_laneless:
@@ -383,29 +391,18 @@ class Executor:
                 else:
                     leftover.append(index)
             for lane, members in sorted(lanes.items()):
-                if lane == "spec-fluid":
-                    self._run_spec_batch_fluid(
-                        jobs, members, outcomes, workers, use_cache, skip_errors
-                    )
-                elif lane == "spec-packet":
-                    self._run_spec_batch_packet(
-                        jobs, members, outcomes, use_cache, skip_errors
-                    )
-                elif lane == "spec-network":
-                    self._run_spec_batch_network(
-                        jobs, members, outcomes, workers, use_cache, skip_errors
-                    )
-                elif lane == "spec-meanfield":
-                    self._run_spec_batch_meanfield(
-                        jobs, members, outcomes, use_cache, skip_errors
-                    )
-                elif lane == "scenario":
+                if lane == "scenario":
                     self._run_scenario_batch(
                         jobs, members, outcomes, use_cache, skip_errors
                     )
-                else:
+                elif lane == "workload":
                     self._run_workload_batch(
                         jobs, members, outcomes, use_cache, skip_errors
+                    )
+                else:
+                    self._run_spec_batch(
+                        lane.removeprefix("spec-"), jobs, members, outcomes,
+                        workers, use_cache, skip_errors,
                     )
         else:
             leftover = list(indices)
@@ -415,53 +412,17 @@ class Executor:
             )
         return outcomes
 
-    def _run_spec_batch_fluid(
-        self, jobs, members, outcomes, workers, use_cache, skip_errors
+    def _run_spec_batch(
+        self, backend, jobs, members, outcomes, workers, use_cache, skip_errors
     ) -> None:
-        from repro.backends.batch import run_specs_batched
+        from repro.backends import batch as batch_module
 
-        traces = run_specs_batched(
+        entry, chunkable = _SPEC_LANES[backend]
+        traces = getattr(batch_module, entry)(
             [jobs[i].spec for i in members],
             use_cache=use_cache,
             skip_errors=skip_errors,
-            workers=workers,
-        )
-        self._fill(members, traces, outcomes)
-
-    def _run_spec_batch_packet(
-        self, jobs, members, outcomes, use_cache, skip_errors
-    ) -> None:
-        from repro.backends.batch import run_packet_specs_batched
-
-        traces = run_packet_specs_batched(
-            [jobs[i].spec for i in members],
-            use_cache=use_cache,
-            skip_errors=skip_errors,
-        )
-        self._fill(members, traces, outcomes)
-
-    def _run_spec_batch_network(
-        self, jobs, members, outcomes, workers, use_cache, skip_errors
-    ) -> None:
-        from repro.backends.batch import run_network_specs_batched
-
-        traces = run_network_specs_batched(
-            [jobs[i].spec for i in members],
-            use_cache=use_cache,
-            skip_errors=skip_errors,
-            workers=workers,
-        )
-        self._fill(members, traces, outcomes)
-
-    def _run_spec_batch_meanfield(
-        self, jobs, members, outcomes, use_cache, skip_errors
-    ) -> None:
-        from repro.backends.batch import run_meanfield_specs_batched
-
-        traces = run_meanfield_specs_batched(
-            [jobs[i].spec for i in members],
-            use_cache=use_cache,
-            skip_errors=skip_errors,
+            **({"workers": workers} if chunkable else {}),
         )
         self._fill(members, traces, outcomes)
 

@@ -35,12 +35,6 @@ full-row ``mass[i] @ points[i]`` per scenario: BLAS groups the dot
 product's partial sums by position, so only the exact full-row dot the
 serial engine performs is bit-reproducible — never a segmented one.
 
-When numba is importable (the ``fast`` extra) and ``REPRO_JIT`` is not
-``"0"``, the scatters run through the compiled transliteration
-:func:`repro.model.kernels.deposit` instead (``force_python=True``
-exercises the same transliterated loop without numba, the bit-test
-path); absence of numba falls back to the ``bincount`` pair silently.
-
 Scenario compatibility (one group, same grid resolution and horizon,
 same trigger comparator and feedback mode, no AQM marking) is decided by
 the planner in :mod:`repro.backends.batch`. A row whose aggregate or
@@ -58,7 +52,6 @@ import numpy as np
 from repro import debug
 from repro.meanfield.dynamics import MASS_TOLERANCE
 from repro.meanfield.kernel import DepositPlan
-from repro.model import kernels
 from repro.model.formulas import droptail_loss_rate_array, eq1_rtt_array
 from repro.model.random_loss import combine_loss_array
 from repro.perf import timing
@@ -109,32 +102,6 @@ class MeanFieldBatchInputs:
     @property
     def batch_size(self) -> int:
         return self.mass.shape[0]
-
-    @property
-    def cells(self) -> int:
-        return self.mass.shape[1]
-
-    def rows(self, lo: int, hi: int) -> "MeanFieldBatchInputs":
-        """Scenarios ``lo:hi`` as a new (view-backed) batch, for chunking."""
-        return MeanFieldBatchInputs(
-            steps=self.steps,
-            synchronized=self.synchronized,
-            op=self.op,
-            thresholds=self.thresholds[lo:hi],
-            points=self.points[lo:hi],
-            plans_lo=self.plans_lo[:, lo:hi],
-            plans_hi=self.plans_hi[:, lo:hi],
-            mass=self.mass[lo:hi],
-            supp_start=self.supp_start[lo:hi],
-            supp_len=self.supp_len[lo:hi],
-            populations=self.populations[lo:hi],
-            capacity=self.capacity[lo:hi],
-            bandwidth=self.bandwidth[lo:hi],
-            base_rtt=self.base_rtt[lo:hi],
-            pipe_limit=self.pipe_limit[lo:hi],
-            timeout_rtt=self.timeout_rtt[lo:hi],
-            random_rate=self.random_rate[lo:hi],
-        )
 
 
 @dataclass
@@ -192,7 +159,7 @@ def mass_support(mass: np.ndarray) -> tuple[int, int]:
     return int(nonzero[0]), int(nonzero[-1] - nonzero[0] + 1)
 
 
-def _scatter_numpy(
+def _scatter(
     index_lo: np.ndarray, weight_hi: np.ndarray, mass: np.ndarray, length: int
 ) -> np.ndarray:
     """The serial engine's cloud-in-cell scatter over a flat index space."""
@@ -257,7 +224,6 @@ def _advance_sync(
     obs_out: np.ndarray,
     cong_out: np.ndarray,
     rtt_out: np.ndarray,
-    scatter,
 ) -> dict[int, int]:
     """The synchronized path: one segmented deposit per scenario per step."""
     b, c = mass.shape
@@ -314,7 +280,7 @@ def _advance_sync(
         idx = np.where(valid, seg_lo - lo_min[:, None], 0) + (rows * out_width)[
             :, None
         ]
-        moved = scatter(
+        moved = _scatter(
             idx.ravel(), seg_hi.ravel(), seg_mass.ravel(), b * out_width
         ).reshape(b, out_width)
 
@@ -345,7 +311,6 @@ def _advance_dense(
     obs_out: np.ndarray,
     cong_out: np.ndarray,
     rtt_out: np.ndarray,
-    scatter,
 ) -> dict[int, int]:
     """The unsynchronized path: the dense 2-D branch mixture every step."""
     b, c = mass.shape
@@ -393,7 +358,7 @@ def _advance_dense(
 
         decreased = mass * p_decrease
         grown = mass - decreased
-        moved = scatter(growth_idx, growth_hi, grown.ravel(), b * c) + scatter(
+        moved = _scatter(growth_idx, growth_hi, grown.ravel(), b * c) + _scatter(
             decrease_idx, decrease_hi, decreased.ravel(), b * c
         )
         mass[...] = moved.reshape(b, c)
@@ -408,14 +373,8 @@ def _advance_dense(
 
 def run_meanfield_batch_kernel(
     inputs: MeanFieldBatchInputs,
-    force_python: bool = False,
 ) -> MeanFieldBatchResult:
-    """Advance every mean-field scenario of ``inputs`` through all steps.
-
-    ``force_python`` routes the scatters through the pure-Python body of
-    the compiled transliteration (:func:`repro.model.kernels.deposit`)
-    — the bit-test path exercised without numba installed.
-    """
+    """Advance every mean-field scenario of ``inputs`` through all steps."""
     global _MF_KERNEL_CELLS
     steps = inputs.steps
     b = inputs.batch_size
@@ -425,21 +384,11 @@ def run_meanfield_batch_kernel(
     cong_out = np.zeros((steps, b))
     rtt_out = np.zeros((steps, b))
 
-    if force_python or kernels.jit_enabled():
-
-        def scatter(index_lo, weight_hi, seg_mass, length):
-            return kernels.deposit(
-                index_lo, weight_hi, seg_mass, length, force_python=force_python
-            )
-
-    else:
-        scatter = _scatter_numpy
-
     advance = _advance_sync if inputs.synchronized else _advance_dense
     with timing.measure("batch.meanfield_kernel"), np.errstate(
         over="ignore", invalid="ignore", divide="ignore"
     ):
-        failed = advance(inputs, mass, mean_out, obs_out, cong_out, rtt_out, scatter)
+        failed = advance(inputs, mass, mean_out, obs_out, cong_out, rtt_out)
     _MF_KERNEL_CELLS += b * steps
 
     return MeanFieldBatchResult(

@@ -33,12 +33,6 @@ slicing row ``i`` out of a batch result reproduces the serial trace of
 scenario ``i`` bit for bit (property-tested in
 ``tests/property/test_prop_batch.py``).
 
-When `numba <https://numba.pydata.org/>`__ is importable (the ``fast``
-extra) and not disabled via ``REPRO_JIT=0``, the per-step loop runs as a
-compiled kernel from :mod:`repro.model.kernels` instead — a scalar
-transliteration of the same recurrence, gated by the same bit-identity
-property tests. Absence of numba falls back to the NumPy loop silently.
-
 Scenario *compatibility* (same flow count and horizon; synchronized
 feedback; no schedules, ECN or stateful loss) is decided by the planner
 in :mod:`repro.backends.batch`; this module only sees already-stacked
@@ -53,17 +47,22 @@ diverging under one class never contaminates cells another class drives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from repro.model import kernels
 from repro.model.dynamics import _PLACEHOLDER_RTT
 from repro.model.formulas import droptail_loss_rate_array, eq1_rtt_array
 from repro.model.random_loss import combine_loss_array
 from repro.perf import timing
 
-__all__ = ["BatchInputs", "BatchResult", "kernel_cells", "run_batch_kernel"]
+__all__ = [
+    "BatchInputs",
+    "BatchResult",
+    "kernel_cells",
+    "run_batch_kernel",
+    "slice_rows",
+]
 
 #: Total scenario-steps the kernel has advanced in this process, for
 #: throughput-based chunk autotuning (with ``timing.REGISTRY``'s
@@ -110,26 +109,22 @@ class BatchInputs:
     def n_senders(self) -> int:
         return self.initial.shape[1]
 
-    def rows(self, lo: int, hi: int) -> "BatchInputs":
-        """Scenarios ``lo:hi`` as a new (view-backed) batch, for chunking."""
-        return BatchInputs(
-            steps=self.steps,
-            class_table=self.class_table,
-            cell_classes=self.cell_classes[lo:hi],
-            cell_params={
-                name: values[lo:hi] for name, values in self.cell_params.items()
-            },
-            initial=self.initial[lo:hi],
-            capacity=self.capacity[lo:hi],
-            bandwidth=self.bandwidth[lo:hi],
-            base_rtt=self.base_rtt[lo:hi],
-            pipe_limit=self.pipe_limit[lo:hi],
-            timeout_rtt=self.timeout_rtt[lo:hi],
-            random_rate=self.random_rate[lo:hi],
-            min_window=self.min_window[lo:hi],
-            max_window=self.max_window[lo:hi],
-            enforce_loss_based=self.enforce_loss_based,
-        )
+
+def slice_rows(inputs, lo: int, hi: int):
+    """Stacked kernel inputs restricted to scenarios ``lo:hi``, for chunking.
+
+    Every array field, and every array of a dict field, is sliced on its
+    leading (scenario) axis as a view; everything else — the horizon,
+    the class table, shared structure — is shared as-is.
+    """
+    changes = {}
+    for f in fields(inputs):
+        value = getattr(inputs, f.name)
+        if isinstance(value, np.ndarray):
+            changes[f.name] = value[lo:hi]
+        elif isinstance(value, dict):
+            changes[f.name] = {name: array[lo:hi] for name, array in value.items()}
+    return replace(inputs, **changes)
 
 
 @dataclass
@@ -209,7 +204,7 @@ def _dispatch_groups(
     return groups
 
 
-def _advance_numpy(
+def _advance(
     inputs: BatchInputs,
     current: np.ndarray,
     windows_out: np.ndarray,
@@ -217,11 +212,9 @@ def _advance_numpy(
     congestion_out: np.ndarray,
     rtts_out: np.ndarray,
 ) -> dict[int, int]:
-    """The NumPy per-step loop: advance ``current`` through all steps.
+    """The per-step loop: advance ``current`` through all steps.
 
     Fills the four output arrays in place and returns the failure map.
-    :func:`repro.model.kernels.advance` is the compiled drop-in for this
-    loop; both must produce identical bits.
     """
     b, n = current.shape
     groups = _dispatch_groups(inputs)
@@ -317,14 +310,9 @@ def run_batch_kernel(
         current = np.clip(
             inputs.initial, inputs.min_window[:, None], inputs.max_window[:, None]
         )
-        if kernels.use_jit(inputs.class_table):
-            failed = kernels.advance(
-                inputs, current, windows_out, observed_out, congestion_out, rtts_out
-            )
-        else:
-            failed = _advance_numpy(
-                inputs, current, windows_out, observed_out, congestion_out, rtts_out
-            )
+        failed = _advance(
+            inputs, current, windows_out, observed_out, congestion_out, rtts_out
+        )
     _KERNEL_CELLS += b * steps
 
     return BatchResult(

@@ -28,11 +28,6 @@ over the same conditions, and the clamp is the same ``clip`` — so row
 scenario ``i`` bit for bit (property-tested in
 ``tests/property/test_prop_net_batch.py``).
 
-When numba is importable (the ``fast`` extra) and ``REPRO_JIT`` is not
-``"0"``, the per-step loop runs as the compiled transliteration
-:func:`repro.model.kernels.advance_network` instead, gated by the same
-bit-identity tests; absence of numba falls back here silently.
-
 Scenario compatibility (same topology structure, flow count, horizon;
 deterministic loss; batchable protocol classes) is decided by the
 planner in :mod:`repro.backends.batch`. A scenario that produces a
@@ -47,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.model import kernels
 from repro.model.batch import _dispatch_groups
 from repro.model.formulas import droptail_loss_rate_array, queueing_delay_array
 from repro.model.random_loss import combine_loss_array
@@ -109,29 +103,6 @@ class NetBatchInputs:
     def n_links(self) -> int:
         return self.capacity.shape[1]
 
-    def rows(self, lo: int, hi: int) -> "NetBatchInputs":
-        """Scenarios ``lo:hi`` as a new (view-backed) batch, for chunking."""
-        return NetBatchInputs(
-            steps=self.steps,
-            class_table=self.class_table,
-            cell_classes=self.cell_classes[lo:hi],
-            cell_params={
-                name: values[lo:hi] for name, values in self.cell_params.items()
-            },
-            initial=self.initial[lo:hi],
-            capacity=self.capacity[lo:hi],
-            bandwidth=self.bandwidth[lo:hi],
-            buffer_size=self.buffer_size[lo:hi],
-            pipe_limit=self.pipe_limit[lo:hi],
-            base_rtts=self.base_rtts[lo:hi],
-            timeout_caps=self.timeout_caps[lo:hi],
-            random_rate=self.random_rate[lo:hi],
-            min_window=self.min_window[lo:hi],
-            max_window=self.max_window[lo:hi],
-            paths=self.paths,
-            enforce_loss_based=self.enforce_loss_based,
-        )
-
 
 @dataclass
 class NetBatchResult:
@@ -162,7 +133,7 @@ def net_kernel_cells() -> int:
     return _NET_KERNEL_CELLS
 
 
-def _advance_network_numpy(
+def _advance_network(
     inputs: NetBatchInputs,
     current: np.ndarray,
     windows_out: np.ndarray,
@@ -171,11 +142,9 @@ def _advance_network_numpy(
     link_load_out: np.ndarray,
     link_loss_out: np.ndarray,
 ) -> dict[int, int]:
-    """The NumPy per-step loop: advance ``current`` through all steps.
+    """The per-step loop: advance ``current`` through all steps.
 
     Fills the five output arrays in place and returns the failure map.
-    :func:`repro.model.kernels.advance_network` is the compiled drop-in
-    for this loop; both must produce identical bits.
     """
     b, n = current.shape
     n_links = inputs.n_links
@@ -263,7 +232,6 @@ def _advance_network_numpy(
 def run_network_batch_kernel(
     inputs: NetBatchInputs,
     out: dict[str, np.ndarray] | None = None,
-    force_python: bool = False,
 ) -> NetBatchResult:
     """Advance every network scenario of ``inputs`` through all steps.
 
@@ -271,9 +239,7 @@ def run_network_batch_kernel(
     ``windows``, ``flow_loss``, ``flow_rtts``, ``link_load``,
     ``link_loss`` with the shapes of :class:`NetBatchResult`) — the
     shared-memory scheduler passes views into its result buffers so
-    chunk outputs need no pickling. ``force_python`` runs the compiled
-    transliteration's pure-Python body instead of the NumPy loop — the
-    bit-test path exercised without numba installed.
+    chunk outputs need no pickling.
     """
     global _NET_KERNEL_CELLS
     steps = inputs.steps
@@ -300,27 +266,15 @@ def run_network_batch_kernel(
         current = np.clip(
             inputs.initial, inputs.min_window[:, None], inputs.max_window[:, None]
         )
-        if force_python or kernels.use_jit(inputs.class_table):
-            failed = kernels.advance_network(
-                inputs,
-                current,
-                windows_out,
-                flow_loss_out,
-                flow_rtts_out,
-                link_load_out,
-                link_loss_out,
-                force_python=force_python,
-            )
-        else:
-            failed = _advance_network_numpy(
-                inputs,
-                current,
-                windows_out,
-                flow_loss_out,
-                flow_rtts_out,
-                link_load_out,
-                link_loss_out,
-            )
+        failed = _advance_network(
+            inputs,
+            current,
+            windows_out,
+            flow_loss_out,
+            flow_rtts_out,
+            link_load_out,
+            link_loss_out,
+        )
     _NET_KERNEL_CELLS += b * steps
 
     return NetBatchResult(

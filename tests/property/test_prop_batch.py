@@ -9,11 +9,13 @@ the same cache entries serial runs read.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_prop_net_batch import _dumbbell_specs
 
 from repro.backends import ScenarioSpec, run_spec, run_specs_batched
-from repro.backends.batch import plan_batches
+from repro.backends.batch import plan_batches, run_network_specs_batched
 from repro.model.link import Link
 from repro.protocols.aimd import AIMD
 from repro.protocols.mimd import MIMD
@@ -177,10 +179,9 @@ def test_mixed_horizons_split_into_groups():
     _check_grid(specs)
 
 
-def test_shared_memory_scheduler_matches_inline_kernel():
-    """workers>1 routes through the shm chunk scheduler; same bits out."""
+def _fluid_scheduler_grid():
     rng = np.random.default_rng(11)
-    specs = [
+    return [
         ScenarioSpec(
             protocols=[AIMD(float(rng.uniform(0.2, 3.0)),
                             float(rng.uniform(0.2, 0.8)))] * 2,
@@ -190,7 +191,25 @@ def test_shared_memory_scheduler_matches_inline_kernel():
         )
         for _ in range(24)
     ]
-    inline = run_specs_batched(specs, use_cache=False)
-    parallel = run_specs_batched(specs, use_cache=False, workers=2, chunk_rows=5)
+
+
+#: Chunkable lane -> (batched runner, grid builder, chunk rows).
+_CHUNKABLE_LANES = {
+    "fluid": (run_specs_batched, _fluid_scheduler_grid, 5),
+    "network": (
+        run_network_specs_batched,
+        lambda: _dumbbell_specs(11, grid=12, n=2, steps=60),
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("lane", sorted(_CHUNKABLE_LANES))
+def test_shared_memory_scheduler_matches_inline_kernel(lane):
+    """workers>1 routes through the shm chunk scheduler; same bits out."""
+    run, grid, chunk_rows = _CHUNKABLE_LANES[lane]
+    specs = grid()
+    inline = run(specs, use_cache=False)
+    parallel = run(specs, use_cache=False, workers=2, chunk_rows=chunk_rows)
     for a, b in zip(inline, parallel):
         _assert_bit_identical(a, b)

@@ -4,9 +4,7 @@ Same contract as ``test_prop_batch.py``, one level up the abstraction
 ladder: stacking compatible density scenarios into one ``(batch, cells)``
 mass array and advancing them together must reproduce, scenario for
 scenario, the exact float64 bits of the serial
-``run_spec(spec, "meanfield")`` path. The ``force_python=True`` variant
-executes the scalar scatter numba would compile (``kernels.deposit``)
-interpreted, pinning the JIT rendering without numba installed.
+``run_spec(spec, "meanfield")`` path.
 """
 
 import numpy as np
@@ -18,14 +16,11 @@ from repro.backends.batch import (
     plan_meanfield_batches,
     run_meanfield_specs_batched,
 )
-from repro.meanfield.batch import run_meanfield_batch_kernel
 from repro.protocols.aimd import AIMD
 from repro.protocols.mimd import MIMD
 from repro.protocols.robust_aimd import RobustAIMD
 
 _TRACE_ARRAYS = ("windows", "observed_loss", "congestion_loss", "rtts")
-
-_KERNEL_ARRAYS = ("mean_windows", "observed_loss", "congestion_loss", "rtts")
 
 
 def _assert_bit_identical(batched, serial):
@@ -105,32 +100,3 @@ def test_mixed_feedback_modes_split_into_groups():
     assert not plan.fallback
     assert len(plan.groups) >= 2
     _check_sweep(specs)
-
-
-@settings(max_examples=8, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**16),
-    unsynchronized=st.booleans(),
-    loss_rate=st.floats(min_value=0.0, max_value=0.03),
-)
-def test_transliterated_scatter_matches_numpy_scatter(
-    seed, unsynchronized, loss_rate
-):
-    """The scalar deposit loop numba would compile, executed interpreted."""
-    specs = _sweep_specs(
-        seed, grid=4, steps=100, unsynchronized=unsynchronized,
-        loss_rate=loss_rate,
-    )
-    plan = plan_meanfield_batches(specs)
-    assert not plan.fallback
-    for group in plan.groups:
-        ref = run_meanfield_batch_kernel(group.inputs)
-        jit = run_meanfield_batch_kernel(group.inputs, force_python=True)
-        assert ref.failed == jit.failed
-        for name in _KERNEL_ARRAYS:
-            a = getattr(ref, name)
-            b = getattr(jit, name)
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
-        assert np.array_equal(
-            ref.masses.view(np.uint64), jit.masses.view(np.uint64)
-        )

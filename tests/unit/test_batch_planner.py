@@ -6,6 +6,7 @@ import pytest
 from repro.backends import ScenarioSpec, run_spec, run_specs_batched
 from repro.backends.batch import (
     _DEFAULT_CHUNK_ROWS,
+    LANES,
     autotune_chunk_rows,
     plan_batches,
     plan_meanfield_batches,
@@ -61,48 +62,6 @@ class TestPlanBatches:
         assert plan.fallback == []
         groups = {tuple(g.indices) for g in plan.groups}
         assert groups == {(0, 2), (1,), (3,)}
-
-    def test_mixed_protocol_classes_share_a_group(self):
-        """Classes no longer split groups: dispatch is per cell."""
-        specs = [
-            _aimd_spec(steps=100),
-            ScenarioSpec(
-                protocols=[MIMD(1.01, 0.875)] * 2,
-                link=Link.from_mbps(20, 42, 100),
-                steps=100,
-                initial_windows=[1.0, 1.0],
-            ),
-            ScenarioSpec(
-                protocols=[AIMD(1.0, 0.5), MIMD(1.02, 0.9)],
-                link=Link.from_mbps(40, 42, 100),
-                steps=100,
-                initial_windows=[1.0, 2.0],
-            ),
-        ]
-        plan = plan_batches(specs)
-        assert plan.fallback == []
-        assert [g.indices for g in plan.groups] == [[0, 1, 2]]
-        inputs = plan.groups[0].inputs
-        assert len(inputs.class_table) == 2
-        # Cell table: scenario 0 all-AIMD, 1 all-MIMD, 2 mixed per column.
-        assert inputs.cell_classes.tolist() == [[0, 0], [1, 1], [0, 1]]
-        # Merged param table is NaN where a cell's class lacks the name
-        # (all classes here define a and b, so no NaN at all).
-        assert np.isfinite(inputs.cell_params["a"]).all()
-
-    def test_stateful_protocol_falls_back(self):
-        specs = [
-            _aimd_spec(),
-            ScenarioSpec(
-                protocols=[pcc_like(), AIMD(1.0, 0.5)],
-                link=Link.from_mbps(20, 42, 100),
-                steps=100,
-                initial_windows=[1.0, 1.0],
-            ),
-        ]
-        plan = plan_batches(specs)
-        assert plan.fallback == [1]
-        assert [g.indices for g in plan.groups] == [[0]]
 
     def test_stateful_grid_mix_groups_the_batchable_remainder(self):
         """CUBIC/Vegas/PccLike specs fall back; the rest still batch."""
@@ -261,21 +220,6 @@ def _bit_equal(a, b):
 
 
 class TestPlanNetworkBatches:
-    def test_mixed_class_grids_share_a_group(self):
-        """Protocol classes never split network groups: per-cell dispatch."""
-        specs = [
-            _dumbbell_spec(a=1.0),
-            _dumbbell_spec(protocols=[MIMD(1.01, 0.9)] * 3),
-            _dumbbell_spec(protocols=[AIMD(1.0, 0.5), MIMD(1.02, 0.9),
-                                      AIMD(2.0, 0.7)]),
-        ]
-        plan = plan_network_batches(specs)
-        assert plan.fallback == []
-        assert [g.indices for g in plan.groups] == [[0, 1, 2]]
-        inputs = plan.groups[0].inputs
-        assert len(inputs.class_table) == 2
-        assert inputs.cell_classes.tolist() == [[0, 0, 0], [1, 1, 1], [0, 1, 0]]
-
     def test_topology_structure_splits_groups(self):
         """Same flow count, different path structure — separate kernels."""
         from repro.netmodel.topology import parking_lot
@@ -302,17 +246,61 @@ class TestPlanNetworkBatches:
         assert plan.fallback == []
         assert float(plan.groups[0].inputs.random_rate[0]) == 0.0
 
-    def test_stateful_protocol_falls_back_and_stays_serial_identical(self):
+
+#: Protocol-cell lane -> (planner, batched runner, spec builder taking
+#: one protocol list and the link bandwidth).
+_CELL_LANES = {
+    "fluid": (
+        plan_batches,
+        run_specs_batched,
+        lambda protocols, bw=20.0: ScenarioSpec(
+            protocols=protocols,
+            link=Link.from_mbps(bw, 42, 100),
+            steps=100,
+            initial_windows=[1.0 + j for j in range(len(protocols))],
+        ),
+    ),
+    "network": (
+        plan_network_batches,
+        run_network_specs_batched,
+        lambda protocols, bw=20.0: _dumbbell_spec(bw=bw, protocols=protocols),
+    ),
+}
+
+
+@pytest.mark.parametrize("lane", sorted(_CELL_LANES))
+class TestCellLanes:
+    def test_mixed_protocol_classes_share_a_group(self, lane):
+        """Classes never split groups: dispatch is per cell."""
+        plan_lane, _, spec = _CELL_LANES[lane]
         specs = [
-            _dumbbell_spec(),
-            _dumbbell_spec(protocols=[pcc_like(), AIMD(1.0, 0.5),
-                                      AIMD(1.0, 0.5)]),
+            spec([AIMD(1.0, 0.5)] * 3),
+            spec([MIMD(1.01, 0.875)] * 3),
+            spec([AIMD(1.0, 0.5), MIMD(1.02, 0.9), AIMD(2.0, 0.7)], bw=40.0),
         ]
-        plan = plan_network_batches(specs)
+        plan = plan_lane(specs)
+        assert plan.fallback == []
+        assert [g.indices for g in plan.groups] == [[0, 1, 2]]
+        inputs = plan.groups[0].inputs
+        assert len(inputs.class_table) == 2
+        # Cell table: scenario 0 all-AIMD, 1 all-MIMD, 2 mixed per column.
+        assert inputs.cell_classes.tolist() == [[0, 0, 0], [1, 1, 1], [0, 1, 0]]
+        # Merged param table is NaN where a cell's class lacks the name
+        # (all classes here define a and b, so no NaN at all).
+        assert np.isfinite(inputs.cell_params["a"]).all()
+
+    def test_stateful_protocol_falls_back(self, lane):
+        plan_lane, run_lane, spec = _CELL_LANES[lane]
+        specs = [
+            spec([AIMD(1.0, 0.5)] * 3),
+            spec([pcc_like(), AIMD(1.0, 0.5), AIMD(1.0, 0.5)]),
+        ]
+        plan = plan_lane(specs)
         assert plan.fallback == [1]
-        results = run_network_specs_batched(specs, use_cache=False)
-        for spec, trace in zip(specs, results):
-            reference = run_spec(spec, "network", use_cache=False)
+        assert [g.indices for g in plan.groups] == [[0]]
+        results = run_lane(specs, use_cache=False)
+        for spec_, trace in zip(specs, results):
+            reference = run_spec(spec_, lane, use_cache=False)
             assert _bit_equal(trace.windows, reference.windows)
 
 
@@ -373,33 +361,54 @@ class TestPlanMeanFieldBatches:
         assert {tuple(g.indices) for g in plan.groups} == {(0, 2), (1,)}
 
 
+#: Chunkable lane -> (kernel module, its advanced-cells counter).
+_CHUNK_COUNTERS = {
+    "fluid": ("repro.model.batch", "_KERNEL_CELLS"),
+    "network": ("repro.netmodel.batch", "_NET_KERNEL_CELLS"),
+}
+
+
+def _zero_cells(monkeypatch, lane, cells=0):
+    import importlib
+
+    module, counter = _CHUNK_COUNTERS[lane]
+    monkeypatch.setattr(importlib.import_module(module), counter, cells)
+
+
 class TestChunkAutotune:
     def test_default_before_any_measurement(self, monkeypatch):
         monkeypatch.setattr(timing, "REGISTRY", timing.TimingRegistry())
-        import repro.model.batch as model_batch
-
-        monkeypatch.setattr(model_batch, "_KERNEL_CELLS", 0)
-        assert autotune_chunk_rows(100) == _DEFAULT_CHUNK_ROWS
+        for lane in _CHUNK_COUNTERS:
+            _zero_cells(monkeypatch, lane)
+            assert autotune_chunk_rows(LANES[lane], 100) == _DEFAULT_CHUNK_ROWS
 
     def test_tunes_rows_from_measured_throughput(self, monkeypatch):
-        registry = timing.TimingRegistry()
-        registry.add("batch.kernel", 1.0)  # 1 s over 1e6 cells = 1 µs/cell
-        monkeypatch.setattr(timing, "REGISTRY", registry)
-        import repro.model.batch as model_batch
-
-        monkeypatch.setattr(model_batch, "_KERNEL_CELLS", 1_000_000)
-        # 0.25 s target / (1 µs * 1000 steps) = 250 rows.
-        assert autotune_chunk_rows(1000) == 250
-        assert autotune_chunk_rows(10) == 4096  # clamped above
-        assert autotune_chunk_rows(10**9) == 1  # clamped below
+        for lane in _CHUNK_COUNTERS:
+            chunked = LANES[lane]
+            registry = timing.TimingRegistry()
+            # 1 s over 1e6 cells = 1 µs/cell
+            registry.add(chunked.chunking.section, 1.0)
+            monkeypatch.setattr(timing, "REGISTRY", registry)
+            _zero_cells(monkeypatch, lane, 1_000_000)
+            # 0.25 s target / (1 µs * 1000 steps) = 250 rows.
+            assert autotune_chunk_rows(chunked, 1000) == 250
+            assert autotune_chunk_rows(chunked, 10) == 4096  # clamped above
+            assert autotune_chunk_rows(chunked, 10**9) == 1  # clamped below
 
     def test_batched_run_feeds_the_autotuner(self, monkeypatch):
         # timing.measure is bound to the process-wide registry, so compare
         # its before/after totals instead of swapping the registry out.
-        import repro.model.batch as model_batch
-
-        monkeypatch.setattr(model_batch, "_KERNEL_CELLS", 0)
-        spent_before = timing.REGISTRY.total("batch.kernel")
-        run_specs_batched([_aimd_spec(), _aimd_spec(a=2.0)], use_cache=False)
-        assert model_batch.kernel_cells() == 2 * 100
-        assert timing.REGISTRY.total("batch.kernel") > spent_before
+        runs = {
+            "fluid": (run_specs_batched, [_aimd_spec(), _aimd_spec(a=2.0)]),
+            "network": (
+                run_network_specs_batched,
+                [_dumbbell_spec(steps=100), _dumbbell_spec(a=2.0, steps=100)],
+            ),
+        }
+        for lane, (run, specs) in runs.items():
+            chunking = LANES[lane].chunking
+            _zero_cells(monkeypatch, lane)
+            spent_before = timing.REGISTRY.total(chunking.section)
+            run(specs, use_cache=False)
+            assert chunking.cells() == 2 * 100
+            assert timing.REGISTRY.total(chunking.section) > spent_before

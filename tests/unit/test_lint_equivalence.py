@@ -30,20 +30,14 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 _PROTOCOL_FILES = ("base.py", "aimd.py", "mimd.py", "robust_aimd.py")
 
 
-def _real_tree(
-    tmp_path: Path, with_kernels: bool = False, with_meanfield: bool = False
-) -> Path:
-    """Copy the real protocol (and optionally kernel) sources into a
-    miniature ``repro/`` tree."""
+def _real_tree(tmp_path: Path, with_meanfield: bool = False) -> Path:
+    """Copy the real protocol (and optionally mean-field kernel) sources
+    into a miniature ``repro/`` tree."""
     root = tmp_path / "tree"
     protocols = root / "repro" / "protocols"
     protocols.mkdir(parents=True)
     for name in _PROTOCOL_FILES:
         shutil.copy(SRC / "protocols" / name, protocols / name)
-    if with_kernels:
-        model = root / "repro" / "model"
-        model.mkdir(parents=True)
-        shutil.copy(SRC / "model" / "kernels.py", model / "kernels.py")
     if with_meanfield:
         meanfield = root / "repro" / "meanfield"
         meanfield.mkdir(parents=True)
@@ -52,7 +46,7 @@ def _real_tree(
 
 
 def test_real_protocols_are_drift_free(tmp_path):
-    root = _real_tree(tmp_path, with_kernels=True, with_meanfield=True)
+    root = _real_tree(tmp_path, with_meanfield=True)
     assert run_lint([root]).findings == []
 
 
@@ -89,97 +83,6 @@ def test_seeded_arm_drift_is_localized_to_the_arm(tmp_path):
     assert findings
     assert any("'b'" in f.message or " b " in f.message or "(a + w)" in f.message
                for f in findings)
-
-
-def test_seeded_jit_kernel_drift_is_caught(tmp_path):
-    root = _real_tree(tmp_path, with_kernels=True)
-    target = root / "repro" / "model" / "kernels.py"
-    source = target.read_text()
-    # First kid-0 decrease arm: w * p1 -> w * p0.
-    mutated = source.replace("nxt = w * p1", "nxt = w * p0", 1)
-    assert mutated != source
-    target.write_text(mutated)
-    findings = [f for f in run_lint([root]).findings if f.code == "REP601"]
-    assert findings
-    drift = " | ".join(f.message for f in findings)
-    assert "compiled kernel" in drift
-    assert "batched_next" in drift
-    assert any(f.path == str(target) for f in findings)
-
-
-def test_seeded_net_kernel_drift_is_caught(tmp_path):
-    # Drift only the *network* transliteration's MIMD growth arm; the
-    # fluid chain earlier in the file stays pristine, so the finding
-    # must come from the network comparison.
-    root = _real_tree(tmp_path, with_kernels=True)
-    target = root / "repro" / "model" / "kernels.py"
-    head, sep, tail = target.read_text().partition("def _advance_net_cells")
-    assert sep, "net transliteration moved; update the test"
-    mutated_tail = tail.replace("nxt = w * p0", "nxt = w * p1", 1)
-    assert mutated_tail != tail
-    target.write_text(head + sep + mutated_tail)
-    findings = [f for f in run_lint([root]).findings if f.code == "REP601"]
-    assert findings
-    drift = " | ".join(f.message for f in findings)
-    assert "compiled network kernel" in drift
-    assert "batched_next" in drift
-    assert any(f.path == str(target) for f in findings)
-
-
-def test_seeded_net_branch_inextractable_is_unverifiable(tmp_path):
-    # An arm of the network chain outside the extraction grammar is a
-    # REP602 coverage hole, not silence.
-    root = _real_tree(tmp_path, with_kernels=True)
-    target = root / "repro" / "model" / "kernels.py"
-    head, sep, tail = target.read_text().partition("def _advance_net_cells")
-    assert sep
-    mutated_tail = tail.replace("nxt = w * p0", "nxt = mystery(w)", 1)
-    assert mutated_tail != tail
-    target.write_text(head + sep + mutated_tail)
-    findings = [f for f in run_lint([root]).findings if f.code == "REP602"]
-    assert any("compiled network branch" in f.message for f in findings)
-
-
-def test_seeded_deposit_drift_is_caught(tmp_path):
-    root = _real_tree(tmp_path, with_kernels=True, with_meanfield=True)
-    target = root / "repro" / "model" / "kernels.py"
-    source = target.read_text()
-    mutated = source.replace("lower = m - upper", "lower = m - upper * 2.0")
-    assert mutated != source, "seed site moved; update the test"
-    target.write_text(mutated)
-    findings = [f for f in run_lint([root]).findings if f.code == "REP601"]
-    assert findings
-    drift = " | ".join(f.message for f in findings)
-    assert "_deposit_cells" in drift
-    assert "meanfield_deposit" in drift
-    assert "2.0" in drift
-    assert any(f.path == str(target) for f in findings)
-
-
-def test_inextractable_deposit_is_unverifiable(tmp_path):
-    root = _real_tree(tmp_path, with_kernels=True, with_meanfield=True)
-    target = root / "repro" / "model" / "kernels.py"
-    source = target.read_text()
-    mutated = source.replace("upper = m * weight_hi[k]", "upper = blend(m, k)")
-    assert mutated != source
-    target.write_text(mutated)
-    findings = [f for f in run_lint([root]).findings if f.code == "REP602"]
-    assert any(
-        "_deposit_cells" in f.message and "deposit drift" in f.message
-        for f in findings
-    )
-
-
-def test_missing_symbolic_roles_hint_is_unverifiable(tmp_path):
-    root = _real_tree(tmp_path, with_kernels=True)
-    target = root / "repro" / "model" / "kernels.py"
-    source = target.read_text()
-    start = source.index("_SYMBOLIC_ROLES = {")
-    end = source.index("}", start) + 2
-    target.write_text(source[:start] + source[end:])
-    findings = [f for f in run_lint([root]).findings if f.code == "REP602"]
-    assert findings
-    assert "_SYMBOLIC_ROLES" in findings[0].message
 
 
 def test_seeded_trigger_drift_is_caught(tmp_path):

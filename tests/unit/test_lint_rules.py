@@ -118,7 +118,7 @@ CASES = [
     ),
     (
         "REP403",
-        "repro/model/kernels.py",
+        "repro/protocols/aimd.py",
         (
             "def batched_next(windows, loss_rate, rtt):\n"
             "    if loss_rate > 0:\n"
