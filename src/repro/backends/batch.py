@@ -283,12 +283,10 @@ def _link_arrays(links: list) -> dict[str, np.ndarray]:
 # The fluid lane
 # ----------------------------------------------------------------------
 def _lower_fluid(spec: ScenarioSpec) -> _FluidRow | None:
-    """The serial engine's vectorized-fast-path eligibility, batch-wise:
-    synchronized feedback (no unsynchronized loss, no ECN), real-valued
-    windows, no scheduled events, plus the shared cell checks."""
+    """The fluid lane's eligibility: synchronized feedback (no
+    unsynchronized loss, no ECN), real-valued windows, no scheduled
+    events, plus the shared cell checks."""
     link, protocols, config, steps = spec.lower_fluid()
-    if not config.allow_vectorized:
-        return None
     if config.unsynchronized_loss or config.integer_windows:
         return None
     if config.schedule.sender_starts or config.schedule.link_changes:

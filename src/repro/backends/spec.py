@@ -22,9 +22,9 @@ Two classes of knob behave differently across backends:
   integrality, clamps) either lower faithfully or raise
   :class:`LoweringError` — a spec never silently means something else on
   another backend;
-- *execution / instrumentation* hints (``allow_vectorized``,
-  ``sample_queue``) are honored where they apply and ignored elsewhere,
-  since they cannot change any backend's outputs.
+- the *instrumentation* hint ``sample_queue`` is honored where it
+  applies and ignored elsewhere, since it cannot change any backend's
+  outputs.
 
 Times in a spec are in **seconds** (wall-clock of the modelled network).
 The packet backend consumes them directly; the RTT-stepped fluid backend
@@ -37,7 +37,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.model.dynamics import DEFAULT_MAX_WINDOW, SimulationConfig
+from repro.model.dynamics import (
+    DEFAULT_MAX_WINDOW,
+    SimulationConfig,
+    check_window_clamp,
+)
 from repro.model.events import EventSchedule
 from repro.model.link import Link
 from repro.model.random_loss import BernoulliLoss, LossProcess, NoLoss
@@ -95,7 +99,7 @@ class ScenarioSpec:
         feedback, packet receiver drops). Note the packet drivers
         historically default to seed 1.
     min_window / max_window / integer_windows / enforce_loss_based /
-    unsynchronized_loss / allow_vectorized:
+    unsynchronized_loss:
         The :class:`~repro.model.dynamics.SimulationConfig` knobs, with
         identical defaults.
     sample_queue:
@@ -128,7 +132,6 @@ class ScenarioSpec:
     integer_windows: bool = False
     enforce_loss_based: bool = True
     unsynchronized_loss: bool = False
-    allow_vectorized: bool = True
     sample_queue: bool = False
     flow_multiplicity: int = 1
 
@@ -164,6 +167,7 @@ class ScenarioSpec:
                 raise ValueError("set start_times or schedule, not both")
         if self.random_loss_rate > 0.0 and self.loss_process is not None:
             raise ValueError("set random_loss_rate or loss_process, not both")
+        check_window_clamp(self.min_window, self.max_window)
         if not isinstance(self.flow_multiplicity, int) or self.flow_multiplicity < 1:
             raise ValueError(
                 f"flow_multiplicity must be a positive int, got {self.flow_multiplicity}"
@@ -257,7 +261,6 @@ class ScenarioSpec:
             enforce_loss_based=self.enforce_loss_based,
             unsynchronized_loss=self.unsynchronized_loss,
             seed=self.seed,
-            allow_vectorized=self.allow_vectorized,
             **kwargs,
         )
         return self.link, self.resolved_protocols(), config, self.steps
@@ -470,7 +473,6 @@ class ScenarioSpec:
             integer_windows=config.integer_windows,
             enforce_loss_based=config.enforce_loss_based,
             unsynchronized_loss=config.unsynchronized_loss,
-            allow_vectorized=config.allow_vectorized,
         )
 
     @classmethod

@@ -39,7 +39,6 @@ _SPEC_PASSTHROUGH = (
     "integer_windows",
     "enforce_loss_based",
     "unsynchronized_loss",
-    "allow_vectorized",
     "sample_queue",
     "flow_multiplicity",
 )

@@ -421,7 +421,7 @@ def _check_stale_exclusions(
 
 
 # ----------------------------------------------------------------------
-# REP301 / REP302 — protocol interface conformance
+# REP301 — protocol interface conformance
 # ----------------------------------------------------------------------
 def _signature_names(args: ast.arguments) -> list[str]:
     return [a.arg for a in args.posonlyargs + args.args]
@@ -583,45 +583,6 @@ def _check_protocol_interface(
                 f"'{name}.next_window' must be callable as "
                 "next_window(self, obs); extra required parameters break "
                 "the simulator's call contract",
-            )
-
-
-@rule(
-    "REP302",
-    "vectorized-signature",
-    Severity.ERROR,
-    "protocols opting into the vectorized fast path must implement "
-    "vectorized_next(self, windows, loss_rate, rtt) exactly; a mismatch "
-    "breaks the bit-identity contract with next_window",
-    project=True,
-)
-def _check_vectorized_signature(
-    rule_: Rule, contexts: dict[str, FileContext]
-) -> Iterator[Finding]:
-    classes = _collect_classes(contexts)
-    expected = ["self", "windows", "loss_rate", "rtt"]
-    for name in sorted(_protocol_families(classes)):
-        info = classes[name]
-        chain = _ancestry(name, classes)
-        if _lookup_flag(chain, "supports_vectorized") is not True:
-            continue
-        found = _lookup_method(chain, "vectorized_next")
-        if found is None or found[0].node.name == "Protocol":
-            yield _make(
-                rule_, info.ctx, info.node,
-                f"'{name}' sets supports_vectorized=True but does not "
-                "implement vectorized_next",
-            )
-            continue
-        owner, method = found
-        if owner is not info and owner.node.name != name:
-            continue
-        names = _signature_names(method.args)
-        if names != expected:
-            yield _make(
-                rule_, info.ctx, method,
-                f"'{name}.vectorized_next' signature is ({', '.join(names)}); "
-                f"the fast-path contract requires ({', '.join(expected)})",
             )
 
 

@@ -3,12 +3,12 @@
 The Figure 1 frontier and the Table 1 / Table 2 design sweeps evaluate
 thousands of near-identical fluid scenarios — same horizon and flow
 count, different protocol parameters, protocol *classes*, or link speeds.
-Run serially, each scenario pays the full Python per-step overhead of
-:class:`~repro.model.dynamics.FluidSimulator` even on its vectorized fast
-path. This module stacks ``B`` compatible scenarios along a leading batch
-axis and advances *all* of them with one NumPy expression per step:
-windows become a ``(B, flows)`` array, the Eq. (1) RTT / droptail loss /
-combined loss evaluate through the ``*_array`` variants in
+Run serially, each scenario pays the full Python per-step, per-sender
+overhead of :class:`~repro.model.dynamics.FluidSimulator`. This module
+stacks ``B`` compatible scenarios along a leading batch axis and advances
+*all* of them with one NumPy expression per step: windows become a
+``(B, flows)`` array, the Eq. (1) RTT / droptail loss / combined loss
+evaluate through the ``*_array`` variants in
 :mod:`repro.model.formulas` and :mod:`repro.model.random_loss`, and the
 protocol updates go through the branch-free
 :meth:`~repro.protocols.base.Protocol.batched_next` maps.
@@ -19,19 +19,17 @@ scenario-flow cell) indexing a small ``class_table``, plus a merged
 parameter table of ``(B, flows)`` arrays. Each step makes one
 ``batched_next`` call per protocol class over the cells that class
 drives — a contiguous column slice when the class owns whole columns
-across the batch (the homogeneous fast path), a gather/scatter over a
-precomputed index mask otherwise — so mixed AIMD/MIMD/Robust-AIMD grids
-land in a single kernel launch instead of falling back to the serial
-loop.
+across the batch, a gather/scatter over a precomputed index mask
+otherwise — so mixed AIMD/MIMD/Robust-AIMD grids land in a single kernel
+launch instead of falling back to the serial loop.
 
-Bit-identity is the contract, exactly as for the serial fast path: every
-float64 operation mirrors the serial engine element by element — the
-aggregate is the same left-fold column sum, scalar branches become
-``numpy.where`` selects over the same conditions, gathers and scatters
-move bits without arithmetic, and the clamp is the same ``clip`` — so
-slicing row ``i`` out of a batch result reproduces the serial trace of
-scenario ``i`` bit for bit (property-tested in
-``tests/property/test_prop_batch.py``).
+Bit-identity is the contract: every float64 operation mirrors the serial
+engine element by element — the aggregate is the same left-fold column
+sum, scalar branches become ``numpy.where`` selects over the same
+conditions, gathers and scatters move bits without arithmetic, and the
+clamp is a ``clip`` to the same bounds — so slicing row ``i`` out of a
+batch result reproduces the serial trace of scenario ``i`` bit for bit
+(property-tested in ``tests/property/test_prop_batch.py``).
 
 Scenario *compatibility* (same flow count and horizon; synchronized
 feedback; no schedules, ECN or stateful loss) is decided by the planner
@@ -164,8 +162,8 @@ def _dispatch_groups(
     One entry per protocol class that drives at least one cell:
     ``(cls, mode, index, params, rtt_placeholder)``. ``mode`` is
     ``"columns"`` when the class owns whole flow columns across every
-    scenario of the batch — dispatch is then a contiguous column slice,
-    the historical homogeneous fast path — and ``"cells"`` otherwise,
+    scenario of the batch — dispatch is then a contiguous column slice —
+    and ``"cells"`` otherwise,
     with ``index`` holding the precomputed ``(rows, cols)`` gather of the
     class's cells. Gathered parameters are materialized once here, not
     per step. ``rtt_placeholder`` is the Section 3 placeholder-RTT array

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -21,8 +21,8 @@ import numpy as np
 from repro import debug
 from repro.model.events import EventSchedule
 from repro.model.link import Link
-from repro.model.random_loss import BernoulliLoss, LossProcess, NoLoss, combine_loss
-from repro.model.sender import SenderState
+from repro.model.random_loss import LossProcess, NoLoss, combine_loss
+from repro.model.sender import Observation
 from repro.model.trace import SimulationTrace
 from repro.perf import timing
 from repro.protocols.base import Protocol
@@ -66,14 +66,6 @@ class SimulationConfig:
         least one of its packets was among the drops — so small flows
         often sail through a loss event unscathed, as they do in real
         droptail queues. Seeded and deterministic via ``seed``.
-    allow_vectorized:
-        Permit the homogeneous fast path: when every sender runs the same
-        protocol with the same parameters, feedback is synchronized and
-        the protocol opts in (``Protocol.supports_vectorized``), the
-        simulator steps all windows with one numpy expression per step
-        instead of per-sender Python objects. Traces are bit-identical to
-        the general path (property-tested); disable to force the general
-        loop.
     """
 
     initial_windows: Sequence[float] | None = None
@@ -85,15 +77,22 @@ class SimulationConfig:
     enforce_loss_based: bool = True
     unsynchronized_loss: bool = False
     seed: int = 0
-    allow_vectorized: bool = True
 
     def __post_init__(self) -> None:
-        if self.min_window < 0:
-            raise ValueError(f"min_window must be non-negative, got {self.min_window}")
-        if self.max_window < self.min_window:
-            raise ValueError(
-                f"max_window ({self.max_window}) must be >= min_window ({self.min_window})"
-            )
+        check_window_clamp(self.min_window, self.max_window)
+
+
+def check_window_clamp(min_window: float, max_window: float) -> None:
+    """Raise ``ValueError`` unless ``0 <= min_window <= max_window``.
+
+    Written so that NaN fails: a NaN bound would silently disable the
+    clamp, since every comparison against it is false.
+    """
+    if not 0 <= min_window <= max_window:
+        raise ValueError(
+            "window clamp must satisfy 0 <= min_window <= max_window, "
+            f"got min_window={min_window}, max_window={max_window}"
+        )
 
 
 _PLACEHOLDER_RTT = 1.0
@@ -168,9 +167,7 @@ class FluidSimulator:
         When a simulation cache is active (:mod:`repro.perf.cache`) and
         the run is cacheable, a previously archived trace is returned
         instead of re-simulating; the dynamics are deterministic, so the
-        arrays are bit-identical either way. Homogeneous runs whose
-        protocol opts in take the vectorized fast path (see
-        ``SimulationConfig.allow_vectorized``).
+        arrays are bit-identical either way.
         """
         if steps <= 0:
             raise ValueError(f"steps must be positive, got {steps}")
@@ -193,12 +190,8 @@ class FluidSimulator:
         cfg.loss_process.reset()
         for protocol in self.protocols:
             protocol.reset()
-        if self._fast_path_eligible():
-            with timing.measure("sim.run.vectorized"):
-                trace = self._run_vectorized(steps)
-        else:
-            with timing.measure("sim.run.general"):
-                trace = self._run_general(steps)
+        with timing.measure("sim.run.general"):
+            trace = self._run_general(steps)
         if debug.enabled():
             _validate_trace(trace)
         if cache is not None and key is not None:
@@ -206,65 +199,34 @@ class FluidSimulator:
         return trace
 
     # ------------------------------------------------------------------
-    def _fast_path_eligible(self) -> bool:
-        """Whether the vectorized homogeneous fast path applies.
-
-        Requirements: every sender runs the same protocol class with the
-        same parameters and the protocol opts in via
-        ``supports_vectorized``; feedback is synchronized (no
-        ``unsynchronized_loss``, no ECN marking); no scheduled events; no
-        per-sender non-congestion loss (``NoLoss`` or a deterministic
-        ``BernoulliLoss``, both constant across senders); and real-valued
-        windows (``integer_windows`` off). Everything else falls back to
-        the general per-sender loop.
-        """
-        cfg = self.config
-        if not cfg.allow_vectorized:
-            return False
-        if cfg.unsynchronized_loss or cfg.integer_windows:
-            return False
-        if cfg.schedule.sender_starts or cfg.schedule.link_changes:
-            return False
-        if self.link.marking_enabled:
-            return False
-        lp = cfg.loss_process
-        if not (
-            isinstance(lp, NoLoss)
-            or (isinstance(lp, BernoulliLoss) and lp.deterministic)
-        ):
-            return False
-        first = self.protocols[0]
-        if not getattr(first, "supports_vectorized", False):
-            return False
-        try:
-            signature = vars(first)
-            return all(
-                type(p) is type(first) and vars(p) == signature
-                for p in self.protocols[1:]
-            )
-        except Exception:  # noqa: BLE001 - any doubt means "not eligible"
-            return False
-
-    # ------------------------------------------------------------------
     def _run_general(self, steps: int) -> SimulationTrace:
-        """The per-sender reference loop (handles every configuration)."""
+        """The per-sender step loop (handles every configuration).
+
+        Everything that cannot change within a step is read outside it:
+        each sender's protocol and placeholder flag once per run, and the
+        link's derived parameters once per link in force. Each sender's
+        :class:`Observation` is built once per step.
+        """
         cfg = self.config
         n = len(self.protocols)
         rng = np.random.default_rng(cfg.seed) if cfg.unsynchronized_loss else None
+        clamp = self._clamp
+        random_rate = cfg.loss_process.rate
+        protocols = self.protocols
+        placeholder = [cfg.enforce_loss_based and p.loss_based for p in protocols]
 
-        senders = []
+        schedule = cfg.schedule
+        current = []
+        start_steps = []
         for i in range(n):
-            start = cfg.schedule.start_for(i)
+            start = schedule.start_for(i)
             if start is None:
-                senders.append(SenderState(index=i, window=self._clamp(self._initial[i])))
+                current.append(clamp(self._initial[i]))
+                start_steps.append(0)
             else:
-                senders.append(
-                    SenderState(
-                        index=i,
-                        window=self._clamp(start.window),
-                        start_step=start.step,
-                    )
-                )
+                current.append(clamp(start.window))
+                start_steps.append(start.step)
+        min_rtts = [math.inf] * n
 
         windows = np.full((steps, n), np.nan)
         observed_loss = np.full((steps, n), np.nan)
@@ -274,123 +236,57 @@ class FluidSimulator:
         pipe_limits = np.zeros(steps)
         base_rtts = np.zeros(steps)
 
-        # Loop invariants hoisted for the (overwhelmingly common) case of
-        # an empty schedule: the link never changes and every sender is
-        # active from step 0, so neither needs recomputing per step.
-        schedule = cfg.schedule
         has_link_changes = bool(schedule.link_changes)
         static_membership = not schedule.sender_starts
         link = self.link
-        active = senders
+        in_force = None
+        active = range(n)
 
         for t in range(steps):
             if has_link_changes:
                 link = schedule.link_at(t, self.link)
+            if link is not in_force:
+                in_force = link
+                capacity = link.capacity
+                pipe_limit = link.pipe_limit
+                base_rtt = link.base_rtt
+                marking = link.marking_enabled
             if not static_membership:
-                active = [s for s in senders if s.active(t)]
-            total = sum(s.window for s in active)
+                active = [i for i in range(n) if t >= start_steps[i]]
+            total = sum([current[i] for i in active])
             loss = link.loss_rate(total)
             rtt = link.rtt(total)
-            ecn = link.mark_fraction(total)
+            # A mark fraction that is not positive (0, -0.0 or NaN) is
+            # shown to protocols as the Observation default 0.0.
+            ecn = link.mark_fraction(total) if marking else 0.0
+            if not ecn > 0.0:
+                ecn = 0.0
 
             congestion_loss[t] = loss
             rtts[t] = rtt
-            capacities[t] = link.capacity
-            pipe_limits[t] = link.pipe_limit
-            base_rtts[t] = link.base_rtt
+            capacities[t] = capacity
+            pipe_limits[t] = pipe_limit
+            base_rtts[t] = base_rtt
 
-            for state in active:
-                i = state.index
+            for i in active:
+                window = current[i]
                 congestion_seen = loss
                 if rng is not None and loss > 0.0:
-                    notice_probability = 1.0 - (1.0 - loss) ** state.window
+                    notice_probability = 1.0 - (1.0 - loss) ** window
                     if rng.random() >= notice_probability:
                         congestion_seen = 0.0
-                random_loss = cfg.loss_process.rate(t, i)
-                seen = combine_loss(congestion_seen, random_loss)
-                windows[t, i] = state.window
+                seen = combine_loss(congestion_seen, random_rate(t, i))
+                windows[t, i] = window
                 observed_loss[t, i] = seen
-                state.record(state.window, seen, rtt)
-
-                protocol = self.protocols[i]
-                obs = state.observation(t)
-                if ecn > 0.0:
-                    obs = replace(obs, ecn_fraction=ecn)
-                if cfg.enforce_loss_based and protocol.loss_based:
-                    obs = replace(
-                        obs, rtt=_PLACEHOLDER_RTT, min_rtt=_PLACEHOLDER_RTT
+                if rtt < min_rtts[i]:
+                    min_rtts[i] = rtt
+                if placeholder[i]:
+                    obs = Observation(
+                        t, window, seen, _PLACEHOLDER_RTT, _PLACEHOLDER_RTT, ecn
                     )
-                state.window = self._clamp(protocol.next_window(obs))
-
-        return SimulationTrace(
-            windows=windows,
-            observed_loss=observed_loss,
-            congestion_loss=congestion_loss,
-            rtts=rtts,
-            capacities=capacities,
-            pipe_limits=pipe_limits,
-            base_rtts=base_rtts,
-        )
-
-    # ------------------------------------------------------------------
-    def _run_vectorized(self, steps: int) -> SimulationTrace:
-        """Homogeneous fast path: one numpy update per step for all senders.
-
-        Only runs when :meth:`_fast_path_eligible` holds. Every float
-        operation mirrors the general loop exactly — the aggregate is a
-        left-fold sum (numpy's pairwise summation would round differently),
-        loss is combined through :func:`combine_loss` even when the random
-        rate is zero, and the clamp is the same min/max — so the resulting
-        trace is bit-identical to the general path's.
-        """
-        cfg = self.config
-        n = len(self.protocols)
-        protocol = self.protocols[0]
-        link = self.link
-        # Constant by eligibility (NoLoss or deterministic Bernoulli).
-        random_rate = cfg.loss_process.rate(0, 0)
-        use_placeholder_rtt = cfg.enforce_loss_based and protocol.loss_based
-
-        current = np.array(
-            [self._clamp(w) for w in self._initial], dtype=float
-        )
-        windows = np.full((steps, n), np.nan)
-        observed_loss = np.full((steps, n), np.nan)
-        congestion_loss = np.zeros(steps)
-        rtts = np.zeros(steps)
-        capacities = np.full(steps, link.capacity)
-        pipe_limits = np.full(steps, link.pipe_limit)
-        base_rtts = np.full(steps, link.base_rtt)
-
-        for t in range(steps):
-            # Left-fold sum in sender order, matching sum() over states.
-            total = 0.0
-            for value in current.tolist():
-                total += value
-            loss = link.loss_rate(total)
-            rtt = link.rtt(total)
-            seen = combine_loss(loss, random_rate)
-
-            congestion_loss[t] = loss
-            rtts[t] = rtt
-            windows[t, :] = current
-            observed_loss[t, :] = seen
-
-            rtt_observed = _PLACEHOLDER_RTT if use_placeholder_rtt else rtt
-            proposed = np.asarray(
-                protocol.vectorized_next(current, seen, rtt_observed), dtype=float
-            )
-            if proposed.shape != (n,):
-                raise ValueError(
-                    f"vectorized_next returned shape {proposed.shape}, "
-                    f"expected ({n},)"
-                )
-            if not np.all(np.isfinite(proposed)):
-                raise ValueError(
-                    "protocol produced a non-finite window: "
-                    f"{proposed[~np.isfinite(proposed)][0]}"
-                )
-            current = np.clip(proposed, cfg.min_window, cfg.max_window)
+                else:
+                    obs = Observation(t, window, seen, rtt, min_rtts[i], ecn)
+                current[i] = clamp(protocols[i].next_window(obs))
 
         return SimulationTrace(
             windows=windows,

@@ -3,8 +3,9 @@
 The paper defines a protocol as a deterministic map from a sender's own
 history — of congestion windows, RTTs and loss rates — to its next window.
 :class:`Observation` is the per-step slice of that history handed to the
-protocol; :class:`SenderState` accumulates the full history so that both
-history-dependent protocols and the metric estimators can see it.
+protocol. :class:`SenderState` is a per-sender record that accumulates
+the full history; the fluid simulator itself keeps only each sender's
+current window and min-RTT, and builds the :class:`Observation` directly.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class Observation:
 
 @dataclass
 class SenderState:
-    """Mutable per-sender record kept by the simulator.
+    """Mutable per-sender record of a sender's full history.
 
     The ``windows``, ``loss_rates`` and ``rtts`` lists grow by one entry per
     simulated step and constitute exactly the history the paper says a

@@ -18,7 +18,7 @@ them fast without changing a single result:
 
 Parallel grid execution itself lives on
 :class:`repro.experiments.sweep.Sweep` (``parallel``/``max_workers``);
-the vectorized homogeneous fast path lives in
+the fluid step loop lives in
 :class:`repro.model.dynamics.FluidSimulator`. Both report here.
 """
 

@@ -126,9 +126,8 @@ def _attrs_of(obj: Any) -> Any:
 
 
 #: SimulationConfig fields excluded from the key: ``initial_windows`` is
-#: keyed in resolved form separately, and ``allow_vectorized`` selects an
-#: execution path whose output is bit-identical by contract (and tested).
-_EXCLUDED_CONFIG_FIELDS = frozenset({"initial_windows", "allow_vectorized"})
+#: keyed in resolved form separately.
+_EXCLUDED_CONFIG_FIELDS = frozenset({"initial_windows"})
 
 
 def simulation_key(

@@ -23,7 +23,6 @@ class MIMD(Protocol):
     """``MIMD(a, b)``: window *= a without loss; window *= b on loss."""
 
     loss_based = True
-    supports_vectorized = True
     supports_batched = True
     batch_param_names = ("a", "b")
     meanfield_trigger = ("gt", 0.0)
@@ -38,12 +37,6 @@ class MIMD(Protocol):
         if obs.loss_rate > 0.0:
             return obs.window * self.b
         return obs.window * self.a
-
-    def vectorized_next(self, windows: np.ndarray, loss_rate: float,
-                        rtt: float) -> np.ndarray:
-        if loss_rate > 0.0:
-            return windows * self.b
-        return windows * self.a
 
     @staticmethod
     def batched_next(

@@ -29,7 +29,6 @@ class RobustAIMD(Protocol):
     """``Robust-AIMD(a, b, epsilon)``: threshold-triggered AIMD stepping."""
 
     loss_based = True
-    supports_vectorized = True
     supports_batched = True
     batch_param_names = ("a", "b", "epsilon")
     meanfield_trigger = ("ge", "epsilon")
@@ -47,12 +46,6 @@ class RobustAIMD(Protocol):
         if obs.loss_rate >= self.epsilon:
             return obs.window * self.b
         return obs.window + self.a
-
-    def vectorized_next(self, windows: np.ndarray, loss_rate: float,
-                        rtt: float) -> np.ndarray:
-        if loss_rate >= self.epsilon:
-            return windows * self.b
-        return windows + self.a
 
     @staticmethod
     def batched_next(

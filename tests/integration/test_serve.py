@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import math
 import threading
 
 import numpy as np
@@ -68,9 +70,18 @@ class TestWireFormats:
     def test_unknown_keys_fail_loudly(self):
         with pytest.raises(ValueError, match="unknown wire spec key"):
             spec_to_wire(["reno"], 20, 42, 100, stepz=32)
-        wire = _wire(1.0)
-        wire["bogus"] = 1
-        with pytest.raises(ValueError, match="unknown wire spec key"):
+        for key in ("bogus", "allow_vectorized"):
+            wire = _wire(1.0)
+            wire[key] = 1
+            with pytest.raises(ValueError, match="unknown wire spec key"):
+                spec_from_wire(wire)
+
+    def test_nan_window_clamp_is_rejected(self):
+        # Python's json accepts NaN, so a client can send one; a NaN bound
+        # would otherwise disable the clamp without any error.
+        wire = json.loads(json.dumps({**_wire(1.0), "min_window": float("nan")}))
+        assert math.isnan(wire["min_window"])
+        with pytest.raises(ValueError, match="window clamp"):
             spec_from_wire(wire)
 
     def test_missing_required_key_names_it(self):

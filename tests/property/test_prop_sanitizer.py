@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import debug
-from repro.model.dynamics import FluidSimulator, SimulationConfig
+from repro.model.dynamics import FluidSimulator
 from repro.model.link import Link
 from repro.packetsim.scenario import PacketScenario, run_scenario
 from repro.protocols import presets
@@ -60,15 +60,13 @@ def _assert_scenarios_identical(checked, unchecked) -> None:
     name=st.sampled_from(sorted(PROTOCOL_FACTORIES)),
     n=st.integers(min_value=1, max_value=4),
     steps=st.integers(min_value=5, max_value=60),
-    vectorized=st.booleans(),
 )
-def test_fluid_run_bit_identical_under_checks(name, n, steps, vectorized):
+def test_fluid_run_bit_identical_under_checks(name, n, steps):
     link = Link.from_mbps(20, 42, 100)
     factory = PROTOCOL_FACTORIES[name]
 
     def run():
-        config = SimulationConfig(allow_vectorized=vectorized)
-        sim = FluidSimulator(link, [factory() for _ in range(n)], config)
+        sim = FluidSimulator(link, [factory() for _ in range(n)])
         return sim.run(steps)
 
     with debug.checks(True):

@@ -1,10 +1,11 @@
-"""Property: the vectorized fast path is bit-identical to the general loop.
+"""Property: homogeneous sender groups run bit-identical to the per-sender loop.
 
-This is the contract that lets ``FluidSimulator`` freely dispatch between
-the two implementations (and lets the trace cache ignore the
-``allow_vectorized`` flag when keying): for every eligible configuration,
-both paths must produce exactly the same float64 arrays, not merely close
-ones.
+A homogeneous group (one AIMD, MIMD or robust-AIMD instance shared by
+every sender, no schedule, deterministic loss) is the shape a vectorized
+step would be tempted to special-case. :meth:`FluidSimulator.run` has one
+loop for every configuration, and for these groups it must produce
+exactly the same float64 arrays as the frozen per-sender reference in
+``reference_fluid.py``, not merely close ones.
 """
 
 import numpy as np
@@ -18,6 +19,8 @@ from repro.protocols.aimd import AIMD
 from repro.protocols.mimd import MIMD
 from repro.protocols.robust_aimd import RobustAIMD
 
+from reference_fluid import ReferenceFluidSimulator
+
 _TRACE_ARRAYS = (
     "windows",
     "observed_loss",
@@ -29,10 +32,10 @@ _TRACE_ARRAYS = (
 )
 
 
-def _assert_traces_bit_identical(fast, slow):
+def _assert_traces_bit_identical(got, want):
     for name in _TRACE_ARRAYS:
-        a = getattr(fast, name)
-        b = getattr(slow, name)
+        a = getattr(got, name)
+        b = getattr(want, name)
         assert a.shape == b.shape, name
         # view(uint64) compares exact bit patterns; NaN == NaN included.
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
@@ -40,16 +43,10 @@ def _assert_traces_bit_identical(fast, slow):
 
 def _run_both(link, protocol, n, initial, steps, loss_rate=0.0):
     loss = {"loss_process": BernoulliLoss(loss_rate)} if loss_rate else {}
-    fast_sim = FluidSimulator(
-        link, [protocol] * n, SimulationConfig(initial_windows=initial, **loss)
-    )
-    slow_sim = FluidSimulator(
-        link, [protocol] * n,
-        SimulationConfig(initial_windows=initial, allow_vectorized=False, **loss),
-    )
-    assert fast_sim._fast_path_eligible()
-    assert not slow_sim._fast_path_eligible()
-    return fast_sim.run(steps), slow_sim.run(steps)
+    config = SimulationConfig(initial_windows=initial, **loss)
+    sim = FluidSimulator(link, [protocol] * n, config)
+    reference = ReferenceFluidSimulator(link, [protocol] * n, config, sim._initial)
+    return sim.run(steps), reference.run(steps)
 
 
 @settings(max_examples=25, deadline=None)
@@ -65,8 +62,8 @@ def test_aimd_fast_path_bit_identical(a, b, n, bw, buffer_mss, seed):
     link = Link.from_mbps(bw, 42, buffer_mss)
     rng = np.random.default_rng(seed)
     initial = [float(w) for w in rng.uniform(1.0, 50.0, size=n)]
-    fast, slow = _run_both(link, AIMD(a, b), n, initial, steps=300)
-    _assert_traces_bit_identical(fast, slow)
+    got, want = _run_both(link, AIMD(a, b), n, initial, steps=300)
+    _assert_traces_bit_identical(got, want)
 
 
 @settings(max_examples=25, deadline=None)
@@ -79,8 +76,8 @@ def test_aimd_fast_path_bit_identical(a, b, n, bw, buffer_mss, seed):
 def test_mimd_fast_path_bit_identical(a, b, n, bw):
     link = Link.from_mbps(bw, 42, 100)
     initial = [1.0 + 3.0 * i for i in range(n)]
-    fast, slow = _run_both(link, MIMD(a, b), n, initial, steps=300)
-    _assert_traces_bit_identical(fast, slow)
+    got, want = _run_both(link, MIMD(a, b), n, initial, steps=300)
+    _assert_traces_bit_identical(got, want)
 
 
 @settings(max_examples=15, deadline=None)
@@ -94,8 +91,8 @@ def test_robust_aimd_fast_path_bit_identical_under_random_loss(
 ):
     link = Link.from_mbps(20, 42, 100)
     initial = [1.0] * n
-    fast, slow = _run_both(
+    got, want = _run_both(
         link, RobustAIMD(1.0, 0.8, epsilon), n, initial, steps=300,
         loss_rate=loss_rate,
     )
-    _assert_traces_bit_identical(fast, slow)
+    _assert_traces_bit_identical(got, want)

@@ -86,6 +86,16 @@ class TestSpecValidation:
                          random_loss_rate=0.01,
                          loss_process=GilbertElliottLoss(0.1, 0.5, 0.1))
 
+    @pytest.mark.parametrize("bounds", [
+        {"min_window": float("nan")},
+        {"max_window": float("nan")},
+        {"min_window": -1.0},
+        {"min_window": 5.0, "max_window": 2.0},
+    ])
+    def test_rejects_invalid_window_clamp(self, link, bounds):
+        with pytest.raises(ValueError, match="window clamp"):
+            ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link, **bounds)
+
     def test_horizon_defaults_to_steps_worth_of_rtts(self, spec, link):
         assert spec.horizon_seconds() == pytest.approx(64 * link.base_rtt)
         timed = ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link, duration=7.5)

@@ -108,6 +108,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(min_window=-1.0)
 
+    @pytest.mark.parametrize("field", ["min_window", "max_window"])
+    def test_nan_window_bound_is_rejected(self, field):
+        # Every comparison against NaN is false, so a NaN bound would
+        # silently switch the clamp off instead of failing validation.
+        with pytest.raises(ValueError, match="window clamp"):
+            SimulationConfig(**{field: float("nan")})
+
 
 class TestLossBasedEnforcement:
     class RttSniffer(Protocol):

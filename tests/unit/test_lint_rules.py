@@ -65,25 +65,6 @@ CASES = [
         ),
     ),
     (
-        "REP302",
-        "repro/protocols/vector.py",
-        (
-            "from repro.protocols.base import Protocol\n\n"
-            "class Fast(Protocol):\n"
-            "    supports_vectorized = True\n"
-            "    def next_window(self, obs):\n        return obs.window\n"
-            "    def vectorized_next(self, windows, rtt):\n        return windows\n"
-        ),
-        (
-            "from repro.protocols.base import Protocol\n\n"
-            "class Fast(Protocol):\n"
-            "    supports_vectorized = True\n"
-            "    def next_window(self, obs):\n        return obs.window\n"
-            "    def vectorized_next(self, windows, loss_rate, rtt):\n"
-            "        return windows\n"
-        ),
-    ),
-    (
         "REP303",
         "repro/backends/custom.py",
         (
@@ -376,10 +357,10 @@ def test_rep202_stale_exclusion_and_clean(tmp_path):
         "repro/model/dynamics.py": (
             "from dataclasses import dataclass\n\n"
             "@dataclass\nclass SimulationConfig:\n"
-            "    seed: int = 0\n    allow_vectorized: bool = True\n"
+            "    seed: int = 0\n    initial_windows: tuple = ()\n"
         ),
         "repro/perf/cache.py": (
-            "_EXCLUDED_CONFIG_FIELDS = frozenset({'allow_vectorized', 'ghost'})\n"
+            "_EXCLUDED_CONFIG_FIELDS = frozenset({'initial_windows', 'ghost'})\n"
         ),
     }
     root = _write_tree(tmp_path / "bad", files)
@@ -388,7 +369,7 @@ def test_rep202_stale_exclusion_and_clean(tmp_path):
     assert "ghost" in findings[0].message
 
     files["repro/perf/cache.py"] = (
-        "_EXCLUDED_CONFIG_FIELDS = frozenset({'allow_vectorized'})\n"
+        "_EXCLUDED_CONFIG_FIELDS = frozenset({'initial_windows'})\n"
     )
     clean_root = _write_tree(tmp_path / "clean", files)
     assert run_lint([clean_root]).findings == []
@@ -404,15 +385,12 @@ def test_rep202_stale_exclusion_and_clean(tmp_path):
 
 
 def test_inherited_protocol_methods_are_accepted(tmp_path):
-    # A subclass of a concrete family inherits next_window/vectorized_next.
+    # A subclass of a concrete family inherits next_window.
     root = _write_tree(tmp_path, {
         "repro/protocols/family.py": (
             "from repro.protocols.base import Protocol\n\n"
             "class Base(Protocol):\n"
-            "    supports_vectorized = True\n"
-            "    def next_window(self, obs):\n        return obs.window\n"
-            "    def vectorized_next(self, windows, loss_rate, rtt):\n"
-            "        return windows\n\n"
+            "    def next_window(self, obs):\n        return obs.window\n\n"
             "class Derived(Base):\n"
             "    def reset(self):\n        return None\n"
         ),
@@ -491,7 +469,7 @@ def test_parse_error_is_reported_not_fatal(tmp_path):
 def test_registry_covers_all_contract_families():
     codes = set(REGISTRY)
     assert {"REP101", "REP102", "REP103", "REP201", "REP202",
-            "REP301", "REP302", "REP303", "REP401", "REP402", "REP501"} <= codes
+            "REP301", "REP303", "REP401", "REP402", "REP501"} <= codes
     for rule in REGISTRY.values():
         assert rule.code.startswith("REP")
         assert rule.description

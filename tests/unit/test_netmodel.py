@@ -155,6 +155,12 @@ class TestNetworkDynamics:
             NetworkFluidSimulator(topo, [AIMD(1, 0.5)] * 2,
                                   initial_windows=[1.0])
 
+    @pytest.mark.parametrize("field", ["min_window", "max_window"])
+    def test_nan_window_bound_validated(self, emulab_link, field):
+        with pytest.raises(ValueError, match="window clamp"):
+            NetworkFluidSimulator(single_link(emulab_link, 1), [AIMD(1, 0.5)],
+                                  **{field: float("nan")})
+
     def test_steps_validated(self, emulab_link):
         sim = NetworkFluidSimulator(single_link(emulab_link, 1), [AIMD(1, 0.5)])
         with pytest.raises(ValueError):
