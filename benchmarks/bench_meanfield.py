@@ -22,6 +22,9 @@ from repro.protocols.aimd import AIMD
 STEPS = 400
 MEANFIELD_NS = [10_000, 100_000, 1_000_000, 10_000_000]
 FLUID_NS = [2_000, 20_000]
+#: The fluid leg's horizon: at N=20,000 one step of the per-flow loop
+#: takes tens of milliseconds, so a short run already dwarfs set-up.
+FLUID_STEPS = 20
 
 
 def _spec(n: int, steps: int) -> ScenarioSpec:
@@ -52,7 +55,7 @@ def test_meanfield_per_step_cost_is_flat_in_flows(monkeypatch):
     mf_costs = {n: _per_step_cost("meanfield", n, STEPS) for n in MEANFIELD_NS}
     flat_ratio = max(mf_costs.values()) / min(mf_costs.values())
 
-    fluid_costs = {n: _per_step_cost("fluid", n, 200) for n in FLUID_NS}
+    fluid_costs = {n: _per_step_cost("fluid", n, FLUID_STEPS) for n in FLUID_NS}
     fluid_growth = fluid_costs[FLUID_NS[-1]] / fluid_costs[FLUID_NS[0]]
 
     grid_cells = _spec(MEANFIELD_NS[0], STEPS).lower_meanfield().resolved_grid().cells

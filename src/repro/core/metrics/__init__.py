@@ -16,12 +16,13 @@ VIII      ``latency``             max tail RTT inflation (smaller better)
 ========  ======================  ==============================================
 
 :func:`estimate_all_metrics` bundles all eight into a
-:class:`~repro.core.metrics.vector.MetricVector`.
+:class:`~repro.core.metrics.vector.MetricVector`, running each distinct
+scenario once.
 """
 
 from __future__ import annotations
 
-from repro.core.metrics.base import EstimatorConfig, MetricResult
+from repro.core.metrics.base import EstimatorConfig, MetricResult, homogeneous_spec
 from repro.core.metrics.convergence import convergence_from_trace, estimate_convergence
 from repro.core.metrics.extensions import (
     estimate_churn_resilience,
@@ -33,13 +34,20 @@ from repro.core.metrics.fast_utilization import (
     estimate_fast_utilization,
     estimate_unconstrained_growth,
     fast_utilization_from_trace,
+    fast_utilization_spec,
 )
 from repro.core.metrics.friendliness import (
     estimate_friendliness,
     estimate_tcp_friendliness,
+    friendliness_from_mix_traces,
     friendliness_from_trace,
+    friendliness_mix_specs,
 )
-from repro.core.metrics.latency import estimate_latency_avoidance, latency_from_trace
+from repro.core.metrics.latency import (
+    estimate_latency_avoidance,
+    latency_from_trace,
+    latency_spec,
+)
 from repro.core.metrics.loss_avoidance import (
     estimate_loss_avoidance,
     loss_avoidance_from_trace,
@@ -52,6 +60,7 @@ from repro.core.metrics.robustness import (
 )
 from repro.core.metrics.vector import LOWER_IS_BETTER, METRIC_ORDER, MetricVector
 from repro.model.link import Link
+from repro.protocols.aimd import AIMD
 from repro.protocols.base import Protocol
 
 __all__ = [
@@ -79,6 +88,7 @@ __all__ = [
     "estimate_unconstrained_growth",
     "fairness_from_trace",
     "fast_utilization_from_trace",
+    "friendliness_from_mix_traces",
     "friendliness_from_trace",
     "latency_from_trace",
     "loss_avoidance_from_trace",
@@ -94,19 +104,40 @@ def estimate_all_metrics(
 ) -> MetricVector:
     """Estimate every axiom for ``protocol`` on ``link``.
 
-    Robustness runs its own (infinite-link) scenario and a bisection, so
-    it dominates the cost; disable it with ``include_robustness=False``
-    when only the link-bound metrics matter.
+    Metrics I, III, IV and V are four reductions of one homogeneous run,
+    so the link-bound scenarios are planned first — the homogeneous,
+    fast-utilization, friendliness-mix and deep-buffer latency specs —
+    run as one executor submission (which also collapses any two that
+    coincide, e.g. Reno's mix with Reno's homogeneous run), and then
+    reduced. Robustness runs its own infinite-link bisection, independent
+    of ``link``; disable it with ``include_robustness=False`` when only
+    the link-bound metrics matter.
     """
+    from repro.backends import run_specs
+
     config = config or EstimatorConfig()
+    if config.n_senders < 2:
+        raise ValueError("fairness estimation requires n_senders >= 2")
+    reno = AIMD(1.0, 0.5)
+    mixes = friendliness_mix_specs(protocol, reno, link, config)
+    specs = [
+        homogeneous_spec(protocol, link, config),
+        fast_utilization_spec(protocol, link, config),
+        *(spec for _, spec in mixes),
+        latency_spec(protocol, link, config),
+    ]
+    homogeneous, fast, *mixed, latency = run_specs(specs, "fluid")
+    tail = config.tail_fraction
     scores = {
-        "efficiency": estimate_efficiency(protocol, link, config).score,
-        "fast_utilization": estimate_fast_utilization(protocol, link, config).score,
-        "loss_avoidance": estimate_loss_avoidance(protocol, link, config).score,
-        "fairness": estimate_fairness(protocol, link, config).score,
-        "convergence": estimate_convergence(protocol, link, config).score,
-        "tcp_friendliness": estimate_tcp_friendliness(protocol, link, config).score,
-        "latency_avoidance": estimate_latency_avoidance(protocol, link, config).score,
+        "efficiency": efficiency_from_trace(homogeneous, tail).score,
+        "fast_utilization": fast_utilization_from_trace(fast, sender=0).score,
+        "loss_avoidance": loss_avoidance_from_trace(homogeneous, tail).score,
+        "fairness": fairness_from_trace(homogeneous, tail).score,
+        "convergence": convergence_from_trace(homogeneous, tail).score,
+        "tcp_friendliness": friendliness_from_mix_traces(
+            [(n_p, trace) for (n_p, _), trace in zip(mixes, mixed)], reno, tail
+        ).score,
+        "latency_avoidance": latency_from_trace(latency, tail).score,
     }
     if include_robustness:
         scores["robustness"] = estimate_robustness(protocol).score

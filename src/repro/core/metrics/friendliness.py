@@ -19,6 +19,8 @@ protocols; scores above 1 mean Q actually outcompetes P.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.core.metrics.base import EstimatorConfig, MetricResult, initial_windows_for
@@ -81,6 +83,35 @@ def friendliness_mix_specs(
     return specs
 
 
+def friendliness_from_mix_traces(
+    mix_traces: Sequence[tuple[int, SimulationTrace]],
+    toward: Protocol,
+    tail_fraction: float = 0.5,
+) -> MetricResult:
+    """The worst witnessed alpha over ``(n_p, trace)`` mixed runs.
+
+    Each trace is one split of :func:`friendliness_mix_specs`: its first
+    ``n_p`` senders run P, the rest run Q (``toward``).
+    """
+    worst = float("inf")
+    per_mix: dict[str, float] = {}
+    for n_p, trace in mix_traces:
+        n = trace.n_senders
+        alpha = friendliness_from_trace(
+            trace,
+            p_senders=list(range(n_p)),
+            q_senders=list(range(n_p, n)),
+            tail_fraction=tail_fraction,
+        )
+        per_mix[f"{n_p}P/{n - n_p}Q"] = alpha
+        worst = min(worst, alpha)
+    return MetricResult(
+        metric=METRIC_NAME,
+        score=worst,
+        detail={"per_mix": per_mix, "toward": toward.name},
+    )
+
+
 def estimate_friendliness(
     protocol: Protocol,
     toward: Protocol,
@@ -93,27 +124,15 @@ def estimate_friendliness(
     Q-groups (at least one of each) and reports the minimum witnessed
     alpha.
     """
-    from repro.backends import run_spec
+    from repro.backends import run_specs
 
     config = config or EstimatorConfig()
-    n = max(2, config.n_senders)
-    worst = float("inf")
-    per_mix: dict[str, float] = {}
-    for n_p, spec in friendliness_mix_specs(protocol, toward, link, config):
-        n_q = n - n_p
-        trace = run_spec(spec, "fluid")
-        alpha = friendliness_from_trace(
-            trace,
-            p_senders=list(range(n_p)),
-            q_senders=list(range(n_p, n)),
-            tail_fraction=config.tail_fraction,
-        )
-        per_mix[f"{n_p}P/{n_q}Q"] = alpha
-        worst = min(worst, alpha)
-    return MetricResult(
-        metric=METRIC_NAME,
-        score=worst,
-        detail={"per_mix": per_mix, "toward": toward.name},
+    mixes = friendliness_mix_specs(protocol, toward, link, config)
+    traces = run_specs([spec for _, spec in mixes], "fluid")
+    return friendliness_from_mix_traces(
+        [(n_p, trace) for (n_p, _), trace in zip(mixes, traces)],
+        toward,
+        config.tail_fraction,
     )
 
 

@@ -35,7 +35,7 @@ from repro.core.metrics.fast_utilization import (
 )
 from repro.core.metrics.friendliness import (
     estimate_tcp_friendliness,
-    friendliness_from_trace,
+    friendliness_from_mix_traces,
     friendliness_mix_specs,
 )
 from repro.core.theory.pareto import (
@@ -158,7 +158,6 @@ def measure_aimd_points_batched(
     from repro.backends import run_specs
     from repro.core.metrics.base import homogeneous_spec
 
-    n = max(2, config.n_senders)
     specs = []
     layout = []  # per point: (fast index, efficiency index, [(n_p, mix index)])
     for alpha, beta in points:
@@ -180,15 +179,11 @@ def measure_aimd_points_batched(
         efficiency = efficiency_from_trace(
             traces[eff_at], config.tail_fraction
         ).detail["capped_score"]
-        friendliness = min(
-            friendliness_from_trace(
-                traces[at],
-                p_senders=list(range(n_p)),
-                q_senders=list(range(n_p, n)),
-                tail_fraction=config.tail_fraction,
-            )
-            for n_p, at in mixes
-        )
+        friendliness = friendliness_from_mix_traces(
+            [(n_p, traces[at]) for n_p, at in mixes],
+            AIMD(1.0, 0.5),
+            config.tail_fraction,
+        ).score
         results.append(
             EmpiricalFrontierPoint(
                 alpha=alpha,

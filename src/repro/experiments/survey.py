@@ -11,6 +11,7 @@ introduction, executed wholesale.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass, field
 from typing import Callable
@@ -19,12 +20,14 @@ from repro.core.metrics import (
     EstimatorConfig,
     MetricVector,
     estimate_all_metrics,
+    estimate_robustness,
 )
 from repro.core.metrics.extensions import (
     estimate_churn_resilience,
     estimate_responsiveness,
 )
 from repro.core.metrics.vector import METRIC_ORDER
+from repro.exec import map_calls
 from repro.experiments.report import Table
 from repro.experiments.sweep import Sweep, workers_sweep_options
 from repro.model.link import Link
@@ -122,14 +125,11 @@ def _survey_cell(
     regimes: dict[str, Link],
     config: EstimatorConfig,
     include_extensions: bool,
-    include_robustness: bool,
 ) -> SurveyEntry:
-    """One (regime, protocol) characterization (picklable for pools)."""
+    """One (regime, protocol) characterization without robustness (picklable)."""
     factory = roster[protocol]
     link = regimes[regime]
-    vector = estimate_all_metrics(
-        factory(), link, config, include_robustness=include_robustness
-    )
+    vector = estimate_all_metrics(factory(), link, config, include_robustness=False)
     if include_extensions:
         responsiveness = estimate_responsiveness(
             factory(), link, warmup_steps=config.steps // 3,
@@ -150,6 +150,13 @@ def _survey_cell(
     )
 
 
+def _survey_robustness(
+    protocol: str, roster: dict[str, Callable[[], Protocol]]
+) -> float:
+    """One roster protocol's robustness score (picklable for pools)."""
+    return estimate_robustness(roster[protocol]()).score
+
+
 def run_survey(
     roster: dict[str, Callable[[], Protocol]] | None = None,
     regimes: dict[str, Link] | None = None,
@@ -160,12 +167,22 @@ def run_survey(
 ) -> SurveyResult:
     """Characterize every (protocol, regime) pair.
 
-    Pairs are independent; ``workers > 1`` fans them out over a process
-    pool.
+    Robustness runs on an infinite-capacity link, so it does not depend
+    on the regime: it is estimated once per protocol and shared by that
+    protocol's cells. Protocols and pairs are independent; ``workers >
+    1`` fans both out over a process pool.
     """
     roster = roster or default_roster()
     regimes = regimes or default_regimes()
     config = config or EstimatorConfig(steps=3000, n_senders=2)
+    robustness: dict[str, float] = {}
+    if include_robustness:
+        scores = map_calls(
+            functools.partial(_survey_robustness, roster=roster),
+            [{"protocol": name} for name in roster],
+            workers=workers,
+        )
+        robustness = dict(zip(roster, scores))
     result = SurveyResult()
     sweep = Sweep(
         axes={"regime": list(regimes), "protocol": list(roster)},
@@ -175,11 +192,15 @@ def run_survey(
             regimes=regimes,
             config=config,
             include_extensions=include_extensions,
-            include_robustness=include_robustness,
         ),
     )
     for row in sweep.run(**workers_sweep_options(workers)):
-        result.entries.append(row.value)
+        entry = row.value
+        if include_robustness:
+            entry.vector = dataclasses.replace(
+                entry.vector, robustness=robustness[entry.protocol]
+            )
+        result.entries.append(entry)
     return result
 
 

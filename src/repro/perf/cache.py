@@ -35,6 +35,7 @@ import hashlib
 import json
 import os
 import shutil
+import sys
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -120,9 +121,20 @@ def _attrs_of(obj: Any) -> Any:
         "__dict__": sorted(
             (name, _canonical(item))
             for name, item in attrs.items()
-            if not isinstance(item, np.random.Generator)
+            if not _is_generator(item)
         )
     }
+
+
+def _is_generator(item: Any) -> bool:
+    """Whether ``item`` is a NumPy ``Generator``.
+
+    No Generator exists before ``numpy.random`` is imported, so a key
+    computed without it answers without importing it (``np.random`` is
+    a lazy import of about 2 MB of resident memory).
+    """
+    random = sys.modules.get("numpy.random")
+    return random is not None and isinstance(item, random.Generator)
 
 
 #: SimulationConfig fields excluded from the key: ``initial_windows`` is

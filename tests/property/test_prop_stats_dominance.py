@@ -99,3 +99,39 @@ def test_dominance_asymmetric(pair):
     p, q = pair
     if dominates(p, q):
         assert not dominates(q, p)
+
+
+def _pairwise_front(points, tol):
+    """The definition: ``i`` survives unless some ``j != i`` dominates it."""
+    return [
+        i for i in range(len(points))
+        if not any(
+            dominates(points[j], points[i], tol) for j in range(len(points)) if j != i
+        )
+    ]
+
+
+#: Coarse coordinates make ties and duplicate points common; NaN and
+#: infinities exercise the comparisons' unordered cases.
+coarse_coordinate = st.one_of(
+    st.integers(min_value=-3, max_value=3).map(float),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.5, 1e-4]),
+)
+
+
+@given(
+    n_dims=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+    tol=st.one_of(st.just(0.0), st.sampled_from([1e-4, 0.5, 1.0, 2.5])),
+)
+def test_pareto_front_matches_pairwise_definition(n_dims, data, tol):
+    points = data.draw(
+        st.lists(
+            st.lists(coarse_coordinate, min_size=n_dims, max_size=n_dims),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    if data.draw(st.booleans()):
+        points = points + points[: data.draw(st.integers(0, len(points)))]
+    assert pareto_front(points, tol) == _pairwise_front(points, tol)

@@ -1,5 +1,6 @@
 """Pareto dominance machinery (repro.analysis.dominance)."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.dominance import dominates, is_on_front, pareto_front
@@ -62,6 +63,24 @@ class TestParetoFront:
     def test_input_must_be_2d(self):
         with pytest.raises(ValueError):
             pareto_front([1, 2, 3])
+
+    @pytest.mark.parametrize("points", [np.empty((0, 2)), [[1.0, 2.0]], [[1.0], [2.0]]])
+    def test_negative_tolerance_any_size(self, points):
+        with pytest.raises(ValueError, match="tol must be non-negative"):
+            pareto_front(points, tol=-1e-9)
+
+    def test_nan_coordinates_never_dominate_or_lose(self):
+        points = [[float("nan"), 0.0], [1.0, 1.0], [0.0, 0.0]]
+        assert pareto_front(points) == [0, 1]
+
+    def test_chunked_rows_match_one_block(self, monkeypatch):
+        import repro.analysis.dominance as dominance
+
+        rng = np.random.default_rng(7)
+        points = rng.integers(0, 4, size=(61, 3)).astype(float)
+        whole = pareto_front(points)
+        monkeypatch.setattr(dominance, "_FRONT_CHUNK_BYTES", 8 * 61 * 3 * 5)
+        assert pareto_front(points) == whole
 
 
 class TestIsOnFront:

@@ -32,6 +32,28 @@ class TestCombine:
         with pytest.raises(ValueError):
             combine_loss(0.0, bad)
 
+    def test_congestion_message(self):
+        with pytest.raises(
+            ValueError, match=r"^congestion loss rate must be in \[0, 1\], got 1\.5$"
+        ):
+            combine_loss(1.5, 0.0)
+
+    def test_random_loss_message(self):
+        with pytest.raises(
+            ValueError, match=r"^random_loss loss rate must be in \[0, 1\], got -0\.25$"
+        ):
+            combine_loss(0.0, -0.25)
+
+    def test_congestion_checked_first(self):
+        with pytest.raises(ValueError, match="^congestion loss rate"):
+            combine_loss(2.0, 2.0)
+
+    @pytest.mark.parametrize("which", ["congestion", "random_loss"])
+    def test_nan_rejected(self, which):
+        args = {"congestion": 0.0, "random_loss": 0.0, which: float("nan")}
+        with pytest.raises(ValueError, match=f"^{which} loss rate .* got nan$"):
+            combine_loss(**args)
+
 
 class TestNoLoss:
     def test_always_zero(self):
